@@ -11,8 +11,9 @@ namespace core {
 
 EqualOpportunism::EqualOpportunism(const tpstry::Tpstry* trie,
                                    const graph::NeighborView* neighborhood,
-                                   EqualOpportunismConfig config)
-    : trie_(trie), neighborhood_(neighborhood), config_(config) {}
+                                   EqualOpportunismConfig config,
+                                   const partition::HubTallyCache* hubs)
+    : trie_(trie), neighborhood_(neighborhood), config_(config), hubs_(hubs) {}
 
 double EqualOpportunism::RationWith(double size, double smin,
                                     double avg) const {
@@ -133,9 +134,15 @@ AllocationDecision EqualOpportunism::DecideBids(
     nbr_rows_.assign(nbr_cached_vertices_.size() * k, 0);
     for (size_t ci = 0; ci < nbr_cached_vertices_.size(); ++ci) {
       uint32_t* row = &nbr_rows_[ci * k];
+      const graph::VertexId v = nbr_cached_vertices_[ci];
+      // A materialised hub's row already holds the tally's integers.
+      if (const uint32_t* counts = hubs_ ? hubs_->Counts(v) : nullptr) {
+        std::copy(counts, counts + k, row);
+        continue;
+      }
       // Tally page by page; the kernel accumulates, so the sums don't see
       // the arena's chunk boundaries.
-      neighborhood_->Neighbors(nbr_cached_vertices_[ci])
+      neighborhood_->Neighbors(v)
           .ForEachChunk([&](const graph::VertexId* ids, size_t n) {
             util::simd::TallyGatherU32(table.data(), table.size(), ids, n, k,
                                        row);

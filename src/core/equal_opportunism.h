@@ -25,6 +25,7 @@
 
 #include "graph/neighbor_view.h"
 #include "motif/match_list.h"
+#include "partition/hub_tally.h"
 #include "partition/partitioning.h"
 #include "tpstry/tpstry.h"
 
@@ -62,11 +63,15 @@ struct AllocationDecision {
 class EqualOpportunism {
  public:
   /// `trie` supplies match supports, `neighborhood` the streamed-so-far
-  /// adjacency for the neighbour-bid term (may be nullptr to disable it);
-  /// both must outlive the allocator.
+  /// adjacency for the neighbour-bid term (may be nullptr to disable it).
+  /// `hubs`, when given, must be the backend's cache over `neighborhood`
+  /// and the partitioning passed to Decide: a hub's neighbour tally is then
+  /// read from its row (O(k)) instead of walking its adjacency — the same
+  /// integers, so the same decisions. All must outlive the allocator.
   EqualOpportunism(const tpstry::Tpstry* trie,
                    const graph::NeighborView* neighborhood,
-                   EqualOpportunismConfig config);
+                   EqualOpportunismConfig config,
+                   const partition::HubTallyCache* hubs = nullptr);
 
   /// The rationing function l(Si) in [0, 1].
   double Ration(graph::PartitionId si, const partition::Partitioning& p) const;
@@ -106,6 +111,7 @@ class EqualOpportunism {
   const tpstry::Tpstry* trie_;
   const graph::NeighborView* neighborhood_;
   EqualOpportunismConfig config_;
+  const partition::HubTallyCache* hubs_;
 
   /// Per-eviction scratch (Decide is on the eviction hot path).
   struct SortKey {

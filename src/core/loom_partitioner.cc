@@ -31,11 +31,12 @@ LoomPartitioner::LoomPartitioner(const LoomOptions& options,
   }
   matcher_ = std::make_unique<motif::MotifMatcher>(trie_.get(), calc_.get(),
                                                    options.matcher);
-  allocator_ = std::make_unique<EqualOpportunism>(trie_.get(), &seen_,
-                                                  options.equal_opportunism);
+  allocator_ = std::make_unique<EqualOpportunism>(
+      trie_.get(), &seen_, options.equal_opportunism, &hub_);
   const std::vector<bool> mask = trie_->MotifLabelMask(num_labels);
   motif_label_.assign(mask.begin(), mask.end());
   match_list_.ReserveEdgeSpan(options.window_size + 1);
+  match_list_.ReserveVertices(options.base.expected_vertices);
 }
 
 bool LoomPartitioner::IsDeferred(graph::VertexId v, graph::LabelId label) {

@@ -34,10 +34,11 @@ LoomShardedPartitioner::LoomShardedPartitioner(
   matcher_ = std::make_unique<motif::MotifMatcher>(trie_.get(), calc_.get(),
                                                    options_.loom.matcher);
   allocator_ = std::make_unique<EqualOpportunism>(
-      trie_.get(), &seen_, options_.loom.equal_opportunism);
+      trie_.get(), &seen_, options_.loom.equal_opportunism, &hub_);
   const std::vector<bool> mask = trie_->MotifLabelMask(num_labels);
   motif_label_.assign(mask.begin(), mask.end());
   match_list_.ReserveEdgeSpan(options_.loom.window_size + 1);
+  match_list_.ReserveVertices(options_.loom.base.expected_vertices);
 
   const size_t per_shard =
       options_.loom.base.expected_vertices / options_.shards + 1;

@@ -117,7 +117,8 @@ const KeyDesc kKeys[] = {
        return true;
      }},
     {"hub_threshold", "uint (0 = default)",
-     "degree at which LDG tallies go incremental; speed only, never quality",
+     "degree at which LDG and bid tallies go incremental; speed only, "
+     "never quality",
      [](const EngineOptions& o) { return FormatU64(o.hub_threshold); },
      [](EngineOptions& o, std::string_view v) {
        uint64_t x;
@@ -191,12 +192,13 @@ const KeyDesc kKeys[] = {
      [](EngineOptions& o, std::string_view v) {
        return ParseBool(v, &o.disable_rationing);
      }},
-    {"max_matches_per_vertex", "uint, >= 1",
+    // Capped at UINT32_MAX: the matcher doubles it for its extension step.
+    {"max_matches_per_vertex", "uint in [1, 4294967295]",
      "loom: matcher cap on live matches considered per endpoint",
      [](const EngineOptions& o) { return FormatU64(o.max_matches_per_vertex); },
      [](EngineOptions& o, std::string_view v) {
        uint64_t x;
-       if (!ParseU64(v, &x) || x < 1) return false;
+       if (!ParseU64(v, &x) || x < 1 || x > UINT32_MAX) return false;
        o.max_matches_per_vertex = x;
        return true;
      }},

@@ -94,14 +94,17 @@ void MatchList::RemoveMatchesWithEdge(graph::EdgeId e) {
 
 // -------------------------------------------------------------- queries
 
-void MatchList::CollectLiveAt(graph::VertexId v,
-                              std::vector<MatchHandle>* out) {
+void MatchList::CollectLiveAt(graph::VertexId v, std::vector<MatchHandle>* out,
+                              size_t limit) {
   if (v >= by_vertex_.size()) return;
   PostingList& pl = by_vertex_[v];
   PruneIfStale(&pl);
   const size_t bound = pl.items.size();  // appends during iteration excluded
-  for (size_t i = 0; i < bound; ++i) {
-    if (pool_.IsLive(pl.items[i])) out->push_back(pl.items[i]);
+  for (size_t i = 0; i < bound && limit > 0; ++i) {
+    if (pool_.IsLive(pl.items[i])) {
+      out->push_back(pl.items[i]);
+      --limit;
+    }
   }
 }
 

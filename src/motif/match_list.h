@@ -22,6 +22,7 @@
 #ifndef LOOM_MOTIF_MATCH_LIST_H_
 #define LOOM_MOTIF_MATCH_LIST_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "motif/match.h"
@@ -57,11 +58,14 @@ class MatchList {
 
   // ------------------------------------------------------------- iteration
 
-  /// Appends every live match containing vertex `v` to `out` (insertion
-  /// order preserved; `out` is not cleared). Prunes the posting list first
-  /// when it is at least half dead. Safe to Commit/Remove while walking the
-  /// collected handles.
-  void CollectLiveAt(graph::VertexId v, std::vector<MatchHandle>* out);
+  /// Appends the live matches containing vertex `v` to `out`, in insertion
+  /// order, stopping once `limit` handles were appended (`out` is not
+  /// cleared). The result is exactly the first `limit` entries of the
+  /// unlimited collect, so hub vertices cost O(limit), not O(degree). Prunes
+  /// the posting list first when it is at least half dead. Safe to
+  /// Commit/Remove while walking the collected handles.
+  void CollectLiveAt(graph::VertexId v, std::vector<MatchHandle>* out,
+                     size_t limit = SIZE_MAX);
 
   /// Same for matches containing window edge `e`.
   void CollectLiveWithEdge(graph::EdgeId e, std::vector<MatchHandle>* out);
@@ -81,6 +85,11 @@ class MatchList {
   /// permanent partition and leaves Ptemp). The edge's ring slot is freed:
   /// `e` can never re-enter the window.
   void RemoveMatchesWithEdge(graph::EdgeId e);
+
+  /// Reserves the per-vertex index for `n` vertex ids (capacity only: the
+  /// index and its checkpoint encoding are unchanged), so Commit never
+  /// stalls on regrowing it mid-stream.
+  void ReserveVertices(size_t n) { by_vertex_.reserve(n); }
 
   /// Pre-sizes the edge ring for an expected live id span (e.g. the sliding
   /// window's capacity) to skip early growth re-placements, and raises the

@@ -175,40 +175,40 @@ void MotifMatcher::OnEdgeAdded(const stream::StreamEdge& e,
     if (ml->Commit(h)) ++stats_.single_edge_matches;
   }
 
-  // Step 1 — extend existing matches connected to e (Alg. 2 lines 4-8).
-  // The endpoint lists are merged u-first with duplicates (matches touching
-  // both endpoints) dropped via a sorted membership probe.
+  // Step 1 — extend existing matches connected to e (Alg. 2 lines 4-8):
+  // the first 2 x cap (cap = max_matches_per_vertex) distinct live matches,
+  // u's posting order first, then v's with the matches touching both
+  // endpoints (already taken at u) skipped. Collection stops at the limit,
+  // so a hub endpoint costs O(cap), not O(live matches).
   {
+    const size_t limit = config_.max_matches_per_vertex * 2;
     snap_u_.clear();
-    ml->CollectLiveAt(e.u, &snap_u_);
-    snap_sorted_.assign(snap_u_.begin(), snap_u_.end());
-    std::sort(snap_sorted_.begin(), snap_sorted_.end());
-    snap_v_.clear();
-    ml->CollectLiveAt(e.v, &snap_v_);
-    for (MatchHandle h : snap_v_) {
-      if (!std::binary_search(snap_sorted_.begin(), snap_sorted_.end(), h)) {
-        snap_u_.push_back(h);
+    ml->CollectLiveAt(e.u, &snap_u_, limit);
+    if (snap_u_.size() < limit) {
+      snap_sorted_.assign(snap_u_.begin(), snap_u_.end());
+      std::sort(snap_sorted_.begin(), snap_sorted_.end());
+      // At most |snap_u_| of v's matches are already taken, so v's first
+      // `limit` live matches cover the limit - |snap_u_| still to fill.
+      snap_v_.clear();
+      ml->CollectLiveAt(e.v, &snap_v_, limit);
+      for (MatchHandle h : snap_v_) {
+        if (snap_u_.size() == limit) break;
+        if (!std::binary_search(snap_sorted_.begin(), snap_sorted_.end(), h)) {
+          snap_u_.push_back(h);
+        }
       }
-    }
-    if (snap_u_.size() > config_.max_matches_per_vertex * 2) {
-      snap_u_.resize(config_.max_matches_per_vertex * 2);
     }
     for (MatchHandle h : snap_u_) TryExtend(h, e, ml);
   }
 
   // Step 2 — pairwise joins across the two endpoints (Alg. 2 lines 9-18),
-  // over the refreshed lists (they now include e's own new matches).
+  // over the first cap live matches at each endpoint of the refreshed lists
+  // (they now include e's own new matches).
   {
     snap_u_.clear();
-    ml->CollectLiveAt(e.u, &snap_u_);
+    ml->CollectLiveAt(e.u, &snap_u_, config_.max_matches_per_vertex);
     snap_v_.clear();
-    ml->CollectLiveAt(e.v, &snap_v_);
-    if (snap_u_.size() > config_.max_matches_per_vertex) {
-      snap_u_.resize(config_.max_matches_per_vertex);
-    }
-    if (snap_v_.size() > config_.max_matches_per_vertex) {
-      snap_v_.resize(config_.max_matches_per_vertex);
-    }
+    ml->CollectLiveAt(e.v, &snap_v_, config_.max_matches_per_vertex);
     // Sizes are loop-invariant (registered matches are immutable and the
     // snapshots are fixed): resolve each handle once, not once per pair.
     snap_u_sizes_.resize(snap_u_.size());

@@ -40,7 +40,10 @@ namespace motif {
 
 /// Tunables bounding worst-case work per edge.
 struct MatcherConfig {
-  /// Cap on live matches considered per endpoint when extending/joining.
+  /// Cap on live matches considered per endpoint: extension tries the
+  /// first 2 x cap distinct live matches (u's posting order first, then
+  /// v's), joins pair the first cap live matches at each endpoint.
+  /// Collection stops at the cap, so per-edge work at a hub is O(cap).
   /// Generous by default; prevents pathological quadratic blowups on hub
   /// vertices in adversarial streams.
   size_t max_matches_per_vertex = 64;

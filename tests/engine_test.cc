@@ -108,6 +108,13 @@ TEST(EngineOptionsTest, OutOfRangeValuesRejected) {
   EXPECT_FALSE(o.Set("shards", "0", &error));
   EXPECT_FALSE(o.Set("shards", "257", &error));
   EXPECT_FALSE(o.Set("shard_queue_depth", "0", &error));
+  EXPECT_FALSE(o.Set("max_matches_per_vertex", "0", &error));
+  // 2^63 would wrap the matcher's doubled extension cap to 0.
+  EXPECT_FALSE(o.Set("max_matches_per_vertex", "9223372036854775808", &error));
+  EXPECT_NE(error.find("max_matches_per_vertex"), std::string::npos) << error;
+  EXPECT_NE(error.find("4294967295"), std::string::npos) << error;
+  EXPECT_TRUE(o.Set("max_matches_per_vertex", "4294967295", &error)) << error;
+  EXPECT_TRUE(o.Set("max_matches_per_vertex", "64", &error)) << error;
   // A failed Set leaves the options untouched.
   EXPECT_EQ(o, EngineOptions());
 }

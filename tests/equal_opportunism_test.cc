@@ -4,6 +4,7 @@
 
 #include "datasets/workloads.h"
 #include "graph/dynamic_graph.h"
+#include "partition/hub_tally.h"
 
 namespace loom {
 namespace core {
@@ -161,6 +162,58 @@ TEST_F(EqualOpportunismTest, EmptyClusterUsesFallback) {
   auto decision = eo.Decide(ml_, me, p, 1);
   EXPECT_EQ(decision.partition, 1u);
   EXPECT_EQ(decision.take, 0u);
+}
+
+TEST_F(EqualOpportunismTest, HubRowsDecideLikeAdjacencyTallies) {
+  // Vertex 10 reaches the hub threshold and gets a materialised row; vertex
+  // 11 stays below it. Neighbours are placed both before the crossing
+  // (counted by the materialising tally) and after it (counted by
+  // OnAssign), so the row is built by both paths.
+  constexpr uint32_t kK = 3;
+  partition::Partitioning p(kK, 300);
+  partition::HubTallyCache hubs(kK, /*degree_threshold=*/4);
+  auto place = [&](graph::VertexId v, graph::PartitionId si) {
+    hubs.OnAssign(v, p.Assign(v, si), seen_);
+  };
+  auto connect = [&](graph::VertexId u, graph::VertexId v) {
+    seen_.AddEdge(u, v);
+    hubs.OnEdgeVisible(u, v, seen_, p);
+  };
+  place(20, 2);
+  place(21, 0);
+  for (graph::VertexId w = 20; w < 30; ++w) connect(10, w);
+  connect(11, 30);
+  connect(11, 31);
+  place(22, 2);
+  place(23, 2);
+  place(24, 1);
+  place(30, 1);
+  place(31, 0);
+  place(50, 0);  // unconnected fillers: equal sizes, equal rations
+  place(51, 1);
+  ASSERT_NE(hubs.Counts(10), nullptr);
+  ASSERT_EQ(hubs.Counts(11), nullptr);
+
+  // A cluster of four matches sharing edge 0, every one containing the hub.
+  const std::vector<motif::MatchHandle> cluster = {
+      MakeMatch({0, 1}, {10, 11, 12}, abc_node_),
+      MakeMatch({0}, {10, 11}, ab_node_),
+      MakeMatch({0, 2}, {10, 11, 13}, abc_node_),
+      MakeMatch({0}, {10, 11}, bc_node_),
+  };
+  EqualOpportunismConfig cfg;
+  cfg.neighbor_bid_weight = 0.5;
+  EqualOpportunism with_rows(&trie_, &seen_, cfg, &hubs);
+  EqualOpportunism without_rows(&trie_, &seen_, cfg);
+  std::vector<motif::MatchHandle> me_rows = cluster;
+  std::vector<motif::MatchHandle> me_tally = cluster;
+  const AllocationDecision a = with_rows.DecideBids(ml_, me_rows, p);
+  const AllocationDecision b = without_rows.DecideBids(ml_, me_tally, p);
+  // The hub's neighbours lean to partition 2: the neighbour term decides.
+  EXPECT_EQ(b.partition, 2u);
+  EXPECT_EQ(a.partition, b.partition);
+  EXPECT_EQ(a.take, b.take);
+  EXPECT_EQ(me_rows, me_tally);
 }
 
 TEST_F(EqualOpportunismTest, PaperWorkedExampleRationHalfish) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datasets/dataset_registry.h"
+#include "datasets/workloads.h"
 #include "partition/partition_metrics.h"
 #include "stream/stream_order.h"
 
@@ -152,6 +153,115 @@ TEST(LoomPartitionerTest, MotifClustersColocated) {
   ASSERT_GT(triples, 100u);
   EXPECT_GT(static_cast<double>(colocated) / static_cast<double>(triples), 0.4)
       << "motif co-location should far exceed the 1/k = 12.5% chance level";
+}
+
+// A hub-heavy stream over the Fig. 1 workload (motifs a-b, b-c, a-b-c):
+// b-labelled vertex 0 gains an a- or c-labelled spoke on three of every
+// four edges, and the fourth ties the newest a-spoke either to one of eight
+// secondary b vertices or, again, to the hub (a parallel edge, so both
+// endpoints share live matches). With a 256-edge window the hub holds far
+// more than 2 x 64 live matches, so the matcher's per-endpoint cap
+// truncates both the extension candidates (sometimes with the hub as u,
+// sometimes as v) and the join lists. The expected values were recorded
+// with the earlier collect-everything-then-truncate matcher; they pin that
+// stopping collection at the cap changed the work done, not the matches
+// found or the placements made.
+struct HubRun {
+  uint64_t assignment_hash = 0;
+  engine::StatCounters counters;
+};
+
+HubRun RunHubStream(size_t max_matches_per_vertex) {
+  graph::LabelRegistry registry;
+  const query::Workload workload = datasets::Figure1Workload(&registry);
+  const graph::LabelId a = registry.Find("a");
+  const graph::LabelId b = registry.Find("b");
+  const graph::LabelId c = registry.Find("c");
+  constexpr graph::VertexId kHub = 0;
+  constexpr graph::VertexId kSecondaryHubs = 8;  // vertices 1..8
+  std::vector<stream::StreamEdge> edges;
+  graph::VertexId next_vertex = kSecondaryHubs + 1;
+  graph::VertexId newest_a = graph::kInvalidVertex;
+  auto add = [&](graph::VertexId u, graph::LabelId lu, graph::VertexId v,
+                 graph::LabelId lv) {
+    stream::StreamEdge e;
+    e.id = static_cast<graph::EdgeId>(edges.size());
+    e.u = u;
+    e.v = v;
+    e.label_u = lu;
+    e.label_v = lv;
+    edges.push_back(e);
+  };
+  for (uint32_t i = 0; i < 900; ++i) {
+    switch (i % 4) {
+      case 0:
+      case 1:
+        newest_a = next_vertex++;
+        if (i % 8 < 4) {
+          add(kHub, b, newest_a, a);
+        } else {
+          add(newest_a, a, kHub, b);
+        }
+        break;
+      case 2:
+        add(kHub, b, next_vertex++, c);
+        break;
+      default:
+        if (i % 8 == 7) {
+          add(newest_a, a, kHub, b);  // parallel to the spoke's first edge
+        } else {
+          add(newest_a, a, 1 + (i / 8) % kSecondaryHubs, b);
+        }
+        break;
+    }
+  }
+
+  LoomOptions opts;
+  opts.base.k = 4;
+  opts.base.expected_vertices = next_vertex;
+  opts.base.expected_edges = edges.size();
+  opts.window_size = 256;
+  opts.matcher.max_matches_per_vertex = max_matches_per_vertex;
+  LoomPartitioner loom(opts, workload, registry.size());
+  for (const stream::StreamEdge& e : edges) loom.Ingest(e);
+  loom.Finalize();
+
+  HubRun run;
+  run.assignment_hash =
+      partition::AssignmentHash(loom.partitioning(), next_vertex);
+  engine::FinalStatsEvent stats;
+  loom.FillFinalStats(&stats);
+  run.counters = stats.counters;
+  return run;
+}
+
+TEST(LoomPartitionerTest, MatcherCapTruncationAtHubIsPinned) {
+  const engine::StatCounters tight = {
+      {"match_allocs_fresh", 512},
+      {"match_allocs_reused", 1750},
+      {"matcher_edges_admitted", 900},
+      {"matcher_single_edge_matches", 900},
+      {"matcher_extension_matches", 912},
+      {"matcher_join_matches", 0},
+      {"matcher_join_attempts", 2111},
+  };
+  const HubRun at_two = RunHubStream(2);
+  EXPECT_EQ(at_two.assignment_hash, 0xb442474eac6d527dull);
+  EXPECT_EQ(at_two.counters, tight);
+
+  const engine::StatCounters standard = {
+      {"match_allocs_fresh", 2671},
+      {"match_allocs_reused", 32410},
+      {"matcher_edges_admitted", 900},
+      {"matcher_single_edge_matches", 900},
+      {"matcher_extension_matches", 22387},
+      {"matcher_join_matches", 0},
+      {"matcher_join_attempts", 46010},
+  };
+  const HubRun at_default =
+      RunHubStream(motif::MatcherConfig{}.max_matches_per_vertex);
+  EXPECT_EQ(at_default.assignment_hash, 0xdf80f76ee4dbd67dull);
+  EXPECT_EQ(at_default.counters, standard);
 }
 
 }  // namespace

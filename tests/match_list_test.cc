@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace loom {
 namespace motif {
 namespace {
@@ -145,6 +147,51 @@ TEST(MatchListTest, CollectAppendsInInsertionOrder) {
   std::vector<MatchHandle> out;
   ml.CollectLiveAt(9, &out);
   EXPECT_EQ(out, (std::vector<MatchHandle>{a, b, c}));
+}
+
+/// Vertex 7 holds 24 single-edge matches; those whose edge id satisfies
+/// `dead` are killed, leaving their handles interleaved in the posting list.
+MatchList HubWithDeadHandles(bool (*dead)(graph::EdgeId)) {
+  MatchList ml;
+  for (graph::EdgeId e = 0; e < 24; ++e) {
+    EXPECT_NE(AddMatch(ml, {e}, {7, 100 + e}, 1), kNullMatch);
+  }
+  for (graph::EdgeId e = 0; e < 24; ++e) {
+    if (dead(e)) ml.RemoveMatchesWithEdge(e);
+  }
+  return ml;
+}
+
+TEST(MatchListTest, BoundedCollectIsPrefixOfUnlimitedCollect) {
+  struct Case {
+    const char* name;
+    bool (*dead)(graph::EdgeId);
+    bool prunes;  // dead share at or past the 50% prune ratio
+  };
+  const Case cases[] = {
+      {"two of three dead", [](graph::EdgeId e) { return e % 3 != 1; }, true},
+      {"one of three dead", [](graph::EdgeId e) { return e % 3 == 1; }, false},
+  };
+  const MatchHandle kMarker = 12345;  // pre-existing entry: never cleared
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<MatchHandle> all;
+    HubWithDeadHandles(c.dead).CollectLiveAt(7, &all);
+    const size_t n = all.size();
+    ASSERT_GT(n, 0u);
+    for (size_t limit = 0; limit <= n + 1; ++limit) {
+      MatchList ml = HubWithDeadHandles(c.dead);
+      ASSERT_EQ(ml.IndexEntriesAt(7), 24u);
+      std::vector<MatchHandle> out{kMarker};
+      ml.CollectLiveAt(7, &out, limit);
+      std::vector<MatchHandle> expected{kMarker};
+      expected.insert(expected.end(), all.begin(),
+                      all.begin() + static_cast<ptrdiff_t>(std::min(limit, n)));
+      EXPECT_EQ(out, expected) << "limit " << limit;
+      // The list is pruned before collecting, whatever the limit.
+      EXPECT_EQ(ml.IndexEntriesAt(7), c.prunes ? n : 24u) << "limit " << limit;
+    }
+  }
 }
 
 TEST(MatchListTest, EdgeRingSurvivesSparseGrowingIds) {

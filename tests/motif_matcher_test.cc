@@ -117,6 +117,28 @@ TEST_F(MatcherTest, DuplicateDiscoveryIsDeduped) {
   EXPECT_GE(ml_.NumLive(), live_before + 1);
 }
 
+TEST_F(MatcherTest, ExtensionCapTakesDistinctMatchesUFirst) {
+  // x=1 (a), y=2 (b), z=3 (c). After e0=(x,y) and e1=(y,z) the live
+  // matches are {e0}, {e1} and {e0,e1}. e2=(x,y) runs parallel to e0: x
+  // then holds {e0}, {e0,e1} and e2's own {e2}, each of which also contains
+  // y, and y adds only {e1}, whose extension by e2 is the new a-b-c match
+  // {e1,e2}. Extension tries the first 2 x cap distinct live matches, x's
+  // first: cap 2 reaches {e1} past the three shared ones, cap 1 does not.
+  auto extensions_with_cap = [&](size_t cap) {
+    MotifMatcher matcher(&trie_, &calc_, MatcherConfig{cap});
+    SlidingWindow window(100);
+    MatchList ml;
+    for (const StreamEdge& e :
+         {E(0, 1, a_, 2, b_), E(1, 2, b_, 3, c_), E(2, 1, a_, 2, b_)}) {
+      window.Push(e);
+      matcher.OnEdgeAdded(e, window, &ml);
+    }
+    return matcher.stats().extension_matches;
+  };
+  EXPECT_EQ(extensions_with_cap(2), 2u);  // {e0,e1} and {e1,e2}
+  EXPECT_EQ(extensions_with_cap(1), 1u);  // {e0,e1} only
+}
+
 // Lower threshold: every Fig. 1 sub-graph is a motif, enabling joins.
 class JoinMatcherTest : public MatcherTest {
  protected:
