@@ -4,8 +4,11 @@
 //   L <label-name>        -- one per label, in LabelId order
 //   V <vertex-id> <label-id>
 //   E <u> <v>
-// Vertex ids must be dense 0..n-1. This keeps generated datasets inspectable
-// and lets users bring their own graphs to the examples.
+// Vertex ids must be dense 0..n-1, each defined by one V line. Numeric
+// fields are decimal digits that fit their type (vertex ids below
+// kInvalidVertex) and nothing may follow a record's last field. This keeps
+// generated datasets inspectable and lets users bring their own graphs to
+// the examples.
 
 #ifndef LOOM_GRAPH_GRAPH_IO_H_
 #define LOOM_GRAPH_GRAPH_IO_H_
@@ -19,12 +22,14 @@
 namespace loom {
 namespace graph {
 
-/// Writes `g` (and its label names) to `os`.
+/// Writes `g` (and its label names) to `os`. Throws std::runtime_error if
+/// `os` reports a write failure.
 void WriteGraph(const LabeledGraph& g, const LabelRegistry& registry,
                 std::ostream& os);
 
 /// Reads a graph written by WriteGraph. Throws std::runtime_error on
-/// malformed input. Labels are interned into `registry` in file order.
+/// malformed input, naming the line where there is one. Labels are
+/// interned into `registry` in file order.
 LabeledGraph ReadGraph(std::istream& is, LabelRegistry* registry);
 
 /// File-path conveniences.

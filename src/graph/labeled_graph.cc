@@ -23,17 +23,22 @@ LabeledGraph LabeledGraph::Builder::Build() {
   g.labels_ = std::move(labels_);
   labels_.clear();
 
-  // Normalise, drop self loops, dedupe.
-  std::vector<Edge> uniq;
-  uniq.reserve(edges_.size());
-  for (const Edge& e : edges_) {
-    if (e.u == e.v) continue;
-    uniq.push_back(e.Normalized());
-  }
+  // Normalise, drop self loops, dedupe — in place.
+  std::vector<Edge> uniq = std::move(edges_);
   edges_.clear();
-  std::sort(uniq.begin(), uniq.end(), [](const Edge& a, const Edge& b) {
+  size_t kept = 0;
+  for (const Edge& e : uniq) {
+    if (e.u != e.v) uniq[kept++] = e.Normalized();
+  }
+  uniq.resize(kept);
+  const auto by_endpoints = [](const Edge& a, const Edge& b) {
     return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
+  };
+  // Graphs loaded from a file written by graph_io arrive in this order
+  // already; the linear check spares them an O(m log m) sort.
+  if (!std::is_sorted(uniq.begin(), uniq.end(), by_endpoints)) {
+    std::sort(uniq.begin(), uniq.end(), by_endpoints);
+  }
   uniq.erase(std::unique(uniq.begin(), uniq.end(),
                          [](const Edge& a, const Edge& b) {
                            return a.u == b.u && a.v == b.v;

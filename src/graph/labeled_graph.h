@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -27,6 +28,12 @@ class LabeledGraph {
   class Builder {
    public:
     Builder() = default;
+
+    /// Adopts vertex labels (indexed by id) and edges collected elsewhere,
+    /// as a loader does, without copying them. Every endpoint must be
+    /// below labels.size().
+    Builder(std::vector<LabelId> labels, std::vector<Edge> edges)
+        : labels_(std::move(labels)), edges_(std::move(edges)) {}
 
     /// Adds a vertex with the given label; returns its dense id.
     VertexId AddVertex(LabelId label);

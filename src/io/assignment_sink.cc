@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/text_io.h"
+
 namespace loom {
 namespace io {
 
@@ -14,7 +16,12 @@ FileAssignmentSink::FileAssignmentSink(const std::string& path)
 
 void FileAssignmentSink::Append(graph::VertexId vertex,
                                 graph::PartitionId partition) {
-  out_ << vertex << '\t' << partition << '\n';
+  char line[2 * util::kMaxDecimalDigits + 2];
+  char* p = util::FormatDecimal(line, vertex);
+  *p++ = '\t';
+  p = util::FormatDecimal(p, partition);
+  *p++ = '\n';
+  out_.write(line, p - line);
   ++written_;
 }
 
@@ -37,7 +44,14 @@ FileEdgeAssignmentSink::FileEdgeAssignmentSink(const std::string& path)
 void FileEdgeAssignmentSink::Append(graph::EdgeId /*edge*/, graph::VertexId u,
                                     graph::VertexId v,
                                     graph::PartitionId partition) {
-  out_ << u << '\t' << v << '\t' << partition << '\n';
+  char line[3 * util::kMaxDecimalDigits + 3];
+  char* p = util::FormatDecimal(line, u);
+  *p++ = '\t';
+  p = util::FormatDecimal(p, v);
+  *p++ = '\t';
+  p = util::FormatDecimal(p, partition);
+  *p++ = '\n';
+  out_.write(line, p - line);
   ++written_;
 }
 

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "util/string_util.h"
+
 namespace loom {
 namespace io {
 
@@ -61,6 +63,27 @@ bool ReadRaw(std::istream& is, T* value) {
 
 [[noreturn]] void Fail(const std::string& path, const std::string& detail) {
   throw std::runtime_error("edge stream '" + path + "': " + detail);
+}
+
+/// Parses one text edge record, "E <u> <v> <label_u> <label_v>", into `*e`
+/// with stream id `id`. Every field is a decimal that fits its type, vertex
+/// ids stay below kInvalidVertex, and nothing may follow the last field.
+void ParseTextRecord(const std::string& path, const std::string& line,
+                     uint64_t id, stream::StreamEdge* e) {
+  std::string_view rest = line;
+  if (util::NextField(&rest) != "E" ||
+      !util::ParseDecimal(util::NextField(&rest), &e->u) ||
+      !util::ParseDecimal(util::NextField(&rest), &e->v) ||
+      !util::ParseDecimal(util::NextField(&rest), &e->label_u) ||
+      !util::ParseDecimal(util::NextField(&rest), &e->label_v) ||
+      !util::NextField(&rest).empty() || e->u == graph::kInvalidVertex ||
+      e->v == graph::kInvalidVertex) {
+    Fail(path, "malformed edge line for edge " + std::to_string(id) +
+                   " (expected 'E <u> <v> <label_u> <label_v>', decimal "
+                   "fields that fit their types): '" +
+                   line + "'");
+  }
+  e->id = static_cast<graph::EdgeId>(id);
 }
 
 /// Thrown (follow mode only) where ReadHeader hits a condition that a
@@ -311,8 +334,11 @@ void FileEdgeSource::ReadHeader() {
       if (follow_.follow && in_.eof()) throw RetryableHeader{};
       if (line.empty() || line[0] == '#') continue;
       if (line[0] == 'N') {
-        std::istringstream ls(line.substr(1));
-        if (!(ls >> info_.vertex_count >> info_.edge_count)) {
+        std::string_view rest = line;
+        if (util::NextField(&rest) != "N" ||
+            !util::ParseDecimal(util::NextField(&rest), &info_.vertex_count) ||
+            !util::ParseDecimal(util::NextField(&rest), &info_.edge_count) ||
+            !util::NextField(&rest).empty()) {
           Fail(path_, "malformed counts line: '" + line + "'");
         }
         saw_counts = true;
@@ -404,18 +430,7 @@ size_t FileEdgeSource::ReadFollow(std::span<stream::StreamEdge> out) {
       continue;
     }
     if (line.empty() || line[0] == '#') continue;
-    stream::StreamEdge& e = out[produced];
-    unsigned long long u = 0, v = 0, lu = 0, lv = 0;
-    std::istringstream ls(line);
-    char tag = 0;
-    if (!(ls >> tag >> u >> v >> lu >> lv) || tag != 'E') {
-      Fail(path_, "malformed edge line: '" + line + "'");
-    }
-    e.u = static_cast<graph::VertexId>(u);
-    e.v = static_cast<graph::VertexId>(v);
-    e.label_u = static_cast<graph::LabelId>(lu);
-    e.label_v = static_cast<graph::LabelId>(lv);
-    e.id = static_cast<graph::EdgeId>(pos_ + produced);
+    ParseTextRecord(path_, line, pos_ + produced, &out[produced]);
     ++produced;
     if (produced == out.size()) return produced;
   }
@@ -462,18 +477,7 @@ size_t FileEdgeSource::NextBatch(std::span<stream::StreamEdge> out) {
     std::string line;
     while (produced < want && std::getline(in_, line)) {
       if (line.empty() || line[0] == '#') continue;
-      stream::StreamEdge& e = out[produced];
-      unsigned long long u = 0, v = 0, lu = 0, lv = 0;
-      std::istringstream ls(line);
-      char tag = 0;
-      if (!(ls >> tag >> u >> v >> lu >> lv) || tag != 'E') {
-        Fail(path_, "malformed edge line: '" + line + "'");
-      }
-      e.u = static_cast<graph::VertexId>(u);
-      e.v = static_cast<graph::VertexId>(v);
-      e.label_u = static_cast<graph::LabelId>(lu);
-      e.label_v = static_cast<graph::LabelId>(lv);
-      e.id = static_cast<graph::EdgeId>(pos_ + produced);
+      ParseTextRecord(path_, line, pos_ + produced, &out[produced]);
       ++produced;
     }
     if (produced < want) {

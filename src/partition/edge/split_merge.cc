@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <charconv>
 #include <fstream>
 #include <limits>
 
@@ -13,20 +12,6 @@
 namespace loom {
 namespace partition {
 namespace edge {
-
-namespace {
-
-bool ParseU32Field(const std::string& s, uint32_t* out) {
-  uint32_t v = 0;
-  const char* begin = s.data();
-  const char* end = begin + s.size();
-  auto [ptr, ec] = std::from_chars(begin, end, v);
-  if (ec != std::errc{} || ptr != end) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
 
 bool LoadEdgeAssignments(const std::string& path,
                          std::vector<EdgeAssignmentRecord>* records,
@@ -44,9 +29,9 @@ bool LoadEdgeAssignments(const std::string& path,
     if (line.empty()) continue;
     const std::vector<std::string> fields = util::Split(line, '\t');
     EdgeAssignmentRecord rec;
-    if (fields.size() != 3 || !ParseU32Field(fields[0], &rec.u) ||
-        !ParseU32Field(fields[1], &rec.v) ||
-        !ParseU32Field(fields[2], &rec.partition)) {
+    if (fields.size() != 3 || !util::ParseDecimal(fields[0], &rec.u) ||
+        !util::ParseDecimal(fields[1], &rec.v) ||
+        !util::ParseDecimal(fields[2], &rec.partition)) {
       *error = path + ":" + std::to_string(line_no) +
                ": expected \"<u>\\t<v>\\t<partition>\" (the --edge-out "
                "format), got \"" +

@@ -1,7 +1,8 @@
 #include "serve/protocol.h"
 
-#include <charconv>
 #include <vector>
+
+#include "util/string_util.h"
 
 namespace loom {
 namespace serve {
@@ -25,33 +26,21 @@ std::vector<std::string_view> SplitFields(std::string_view line) {
   }
 }
 
-template <typename T>
-bool ParseNum(std::string_view token, T* out) {
-  if (token.empty()) return false;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
 bool ParseVertex(std::string_view token, graph::VertexId* out,
                  std::string* error) {
-  uint64_t wide = 0;
-  if (!ParseNum(token, &wide) || wide >= graph::kInvalidVertex) {
+  if (!util::ParseDecimal(token, out) || *out == graph::kInvalidVertex) {
     *error = "bad vertex id '" + std::string(token) + "'";
     return false;
   }
-  *out = static_cast<graph::VertexId>(wide);
   return true;
 }
 
 bool ParseLabel(std::string_view token, graph::LabelId* out,
                 std::string* error) {
-  uint64_t wide = 0;
-  if (!ParseNum(token, &wide) || wide >= graph::kInvalidLabel) {
+  if (!util::ParseDecimal(token, out) || *out == graph::kInvalidLabel) {
     *error = "bad label id '" + std::string(token) + "'";
     return false;
   }
-  *out = static_cast<graph::LabelId>(wide);
   return true;
 }
 
@@ -97,7 +86,7 @@ bool ParseCommand(std::string_view line, Command* out, std::string* error) {
     }
     out->has_seq = fields.size() == 6;
     out->seq = 0;
-    if (out->has_seq && !ParseNum(fields[5], &out->seq)) {
+    if (out->has_seq && !util::ParseDecimal(fields[5], &out->seq)) {
       *error = "bad sequence number '" + std::string(fields[5]) + "'";
       return false;
     }

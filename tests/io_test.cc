@@ -246,6 +246,76 @@ TEST(EdgeStreamErrorTest, FutureTextVersionIsRejectedNotMisparsed) {
   }
 }
 
+// Text records: every field is a decimal that fits its type (vertex ids
+// below kInvalidVertex), and nothing may follow the last one. Each of these
+// used to be accepted, most by wrapping to an id that passed the range
+// checks.
+TEST(EdgeStreamErrorTest, TextRecordsRejectFieldsThatDoNotFitOrTrail) {
+  const std::string head =
+      "# loom-edge-stream v1\nN 4294967296 2\nL a\nL b\nE 0 1 0 1\n";
+  for (const char* bad : {
+           "E 4294967296 1 0 1",  // u wrapped to 0
+           "E 4294967295 1 0 1",  // the kInvalidVertex sentinel
+           "E 0 1 65536 1",       // label wrapped to 0
+           "E 0 1 0 1 9",
+           "E 0 -1 0 1",
+           "E 0 1 0",
+           "E 0 1 0 +1",
+           "X 0 1 0 1",
+       }) {
+    const fs::path path = TempDir() / "strict_text";
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << head << bad << "\n";
+    // The offline and the follow reader share one record parser.
+    const std::atomic<bool> stop{true};  // no polling once the data is read
+    io::FollowOptions follow;
+    follow.follow = true;
+    follow.stop = &stop;
+    for (const io::FollowOptions& mode : {io::FollowOptions{}, follow}) {
+      io::FileEdgeSource source(path.string(), mode);
+      try {
+        Drain(source);
+        ADD_FAILURE() << "'" << bad << "' was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(
+            std::string(e.what()).find("malformed edge line for edge 1"),
+            std::string::npos)
+            << bad << " -> " << e.what();
+      }
+    }
+  }
+}
+
+TEST(EdgeStreamErrorTest, TextCountsLineRejectsWrappedAndTrailingFields) {
+  for (const char* bad : {"N -1 1", "N 3 1 0", "N 3", "N 18446744073709551616 1"}) {
+    const fs::path path = TempDir() / "strict_counts";
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << "# loom-edge-stream v1\n" << bad << "\nL a\nE 0 1 0 0\n";
+    try {
+      io::FileEdgeSource source(path.string());
+      ADD_FAILURE() << "'" << bad << "' was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed counts line"),
+                std::string::npos)
+          << bad << " -> " << e.what();
+    }
+  }
+}
+
+TEST(EdgeStreamErrorTest, TextRecordsAcceptCrlfAndPadding) {
+  const fs::path path = TempDir() / "crlf_text";
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << "# loom-edge-stream v1\nN 10 2\nL a\nL b\n"
+      << "E 3 4 0 1\r\n  E\t5  6 1 0 \n";
+  io::FileEdgeSource source(path.string());
+  const std::vector<stream::StreamEdge> edges = Drain(source);
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_EQ(edges[0].u, 3u);
+  EXPECT_EQ(edges[0].label_v, 1u);
+  EXPECT_EQ(edges[1].v, 6u);
+  EXPECT_EQ(edges[1].id, 1u);
+}
+
 TEST(EdgeStreamErrorTest, FailedInternLabelsLeavesRegistryUntouched) {
   const Written w = WriteDataset(io::StreamFormat::kBinary, "intern_atomic");
   io::FileEdgeSource reader(w.path.string());
@@ -525,6 +595,41 @@ TEST(AssignmentSinkTest, FileSinkWritesTsvLines) {
     EXPECT_EQ(sink.assignments_written(), 2u);
   }
   EXPECT_EQ(FileBytes(path), "5\t2\n6\t0\n");
+}
+
+TEST(AssignmentSinkTest, FileSinksWriteExactBytes) {
+  const fs::path vpath = TempDir() / "exact_vertices.tsv";
+  const fs::path epath = TempDir() / "exact_edges.tsv";
+  {
+    io::FileAssignmentSink vertices(vpath.string());
+    vertices.Append(0, 0);
+    vertices.Append(4294967294u, 7);  // largest valid vertex id
+    vertices.Append(10, 4294967295u);
+    vertices.Append(123456789, 31);
+    vertices.Flush();
+    io::FileEdgeAssignmentSink edges(epath.string());
+    edges.Append(0, 0, 1, 0);
+    edges.Append(1, 4294967294u, 99, 12);
+    edges.Append(2, 7, 4294967294u, 4294967295u);
+    edges.Flush();
+    EXPECT_EQ(edges.edges_written(), 3u);
+  }
+  EXPECT_EQ(FileBytes(vpath),
+            "0\t0\n4294967294\t7\n10\t4294967295\n123456789\t31\n");
+  EXPECT_EQ(FileBytes(epath),
+            "0\t1\t0\n4294967294\t99\t12\n7\t4294967294\t4294967295\n");
+}
+
+// /dev/full accepts the open and fails every write with ENOSPC: Flush must
+// report it, not drop the lines.
+TEST(AssignmentSinkTest, FlushOnAFullDeviceThrows) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  io::FileAssignmentSink vertices("/dev/full");
+  vertices.Append(1, 2);
+  EXPECT_THROW(vertices.Flush(), std::runtime_error);
+  io::FileEdgeAssignmentSink edges("/dev/full");
+  edges.Append(0, 1, 2, 3);
+  EXPECT_THROW(edges.Flush(), std::runtime_error);
 }
 
 TEST(AssignmentSinkTest, FileSinkUnwritablePathThrows) {

@@ -128,6 +128,34 @@ TEST(StringUtilTest, Trim) {
   EXPECT_EQ(Trim("\ta b\n"), "a b");
 }
 
+TEST(StringUtilTest, ParseDecimalIsStrictAndRangeChecked) {
+  uint32_t u32 = 7;
+  EXPECT_TRUE(ParseDecimal("4294967295", &u32));
+  EXPECT_EQ(u32, 4294967295u);
+  EXPECT_TRUE(ParseDecimal("007", &u32));
+  EXPECT_EQ(u32, 7u);
+  for (const char* bad :
+       {"", "4294967296", "-1", "+1", " 1", "1 ", "0x1", "1.0", "1e3", "a"}) {
+    EXPECT_FALSE(ParseDecimal(bad, &u32)) << "'" << bad << "'";
+    EXPECT_EQ(u32, 7u) << "a rejected field must leave the output alone";
+  }
+  uint16_t u16 = 0;
+  EXPECT_TRUE(ParseDecimal("65535", &u16));
+  EXPECT_FALSE(ParseDecimal("65536", &u16));
+  uint64_t u64 = 0;
+  EXPECT_TRUE(ParseDecimal("18446744073709551615", &u64));
+  EXPECT_FALSE(ParseDecimal("18446744073709551616", &u64));
+}
+
+TEST(StringUtilTest, NextFieldSplitsOnWhitespaceRuns) {
+  std::string_view rest = "  E\t12  7\r";
+  EXPECT_EQ(NextField(&rest), "E");
+  EXPECT_EQ(NextField(&rest), "12");
+  EXPECT_EQ(NextField(&rest), "7");
+  EXPECT_EQ(NextField(&rest), "");
+  EXPECT_EQ(NextField(&rest), "");
+}
+
 TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("hello", "he"));
   EXPECT_TRUE(StartsWith("hello", ""));

@@ -2,7 +2,9 @@
 # Crash-fault injection harness: SIGKILL a real loom_partition child
 # mid-stream, resume from whatever LOOMCK checkpoint survived on disk, and
 # require the finished run to be bit-identical to an uninterrupted
-# reference — same assignment set, same edge cut, same imbalance.
+# reference — same assignment set, same edge cut, same imbalance. A first
+# leg also requires a run from the text graph file (g.lg) to reproduce the
+# reference byte for byte.
 #
 # This is the out-of-process half of the recovery story
 # (tests/crash_recovery_test.cc cuts runs in-process at exact kill points;
@@ -38,6 +40,24 @@ echo "== reference run (uninterrupted)"
   --out "$WORKDIR/ref.tsv" --evaluate 2> "$WORKDIR/ref.log"
 REF_QUALITY=$(grep -o 'edge cut: [0-9]* / [0-9]*, imbalance [0-9.]*%' "$WORKDIR/ref.log")
 echo "   $REF_QUALITY"
+
+# The same partitioning must come out of the text graph file: load g.lg,
+# replay it in the same BFS order and seed, and require the assignment file
+# to be byte-identical to the LOOMES-stream reference. This is the only leg
+# that reads a .lg file end to end through loom_partition.
+echo "== text-graph run (--graph g.lg, same order and seed)"
+"$PART" --graph "$WORKDIR/g.lg" --order bfs --seed "$SEED" "${COMMON[@]}" \
+  --out "$WORKDIR/graph.tsv" --evaluate 2> "$WORKDIR/graph.log"
+GRAPH_QUALITY=$(grep -o 'edge cut: [0-9]* / [0-9]*, imbalance [0-9.]*%' "$WORKDIR/graph.log")
+echo "   $GRAPH_QUALITY"
+if ! cmp -s "$WORKDIR/ref.tsv" "$WORKDIR/graph.tsv"; then
+  echo "crash_harness: FAIL — the --graph g.lg run's assignments differ from the stream reference" >&2
+  exit 1
+fi
+if [ "$REF_QUALITY" != "$GRAPH_QUALITY" ]; then
+  echo "crash_harness: FAIL — --graph quality '$GRAPH_QUALITY' vs stream '$REF_QUALITY'" >&2
+  exit 1
+fi
 
 # Crash loop: start a checkpointing child, SIGKILL it as soon as the first
 # checkpoint appears on disk. If the child managed to finish before the
