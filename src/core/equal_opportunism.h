@@ -23,7 +23,7 @@
 
 #include <vector>
 
-#include "graph/neighbor_view.h"
+#include "graph/dynamic_graph.h"
 #include "motif/match_list.h"
 #include "partition/hub_tally.h"
 #include "partition/partitioning.h"
@@ -69,7 +69,7 @@ class EqualOpportunism {
   /// read from its row (O(k)) instead of walking its adjacency — the same
   /// integers, so the same decisions. All must outlive the allocator.
   EqualOpportunism(const tpstry::Tpstry* trie,
-                   const graph::NeighborView* neighborhood,
+                   const graph::DynamicGraph* neighborhood,
                    EqualOpportunismConfig config,
                    const partition::HubTallyCache* hubs = nullptr);
 
@@ -109,7 +109,7 @@ class EqualOpportunism {
   double RationWith(double size, double smin, double avg) const;
 
   const tpstry::Tpstry* trie_;
-  const graph::NeighborView* neighborhood_;
+  const graph::DynamicGraph* neighborhood_;
   EqualOpportunismConfig config_;
   const partition::HubTallyCache* hubs_;
 

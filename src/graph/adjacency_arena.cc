@@ -1,5 +1,6 @@
 #include "graph/adjacency_arena.h"
 
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -35,7 +35,7 @@ namespace loom {
 namespace io {
 
 /// Format version this build writes and reads.
-inline constexpr uint16_t kCheckpointVersion = 1;
+inline constexpr uint16_t kCheckpointVersion = 2;
 
 /// Builds a checkpoint in memory, then commits it to disk atomically.
 /// All methods throw std::runtime_error on misuse or I/O failure.

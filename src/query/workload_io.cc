@@ -1,5 +1,6 @@
 #include "query/workload_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -40,13 +41,14 @@ graph::PatternGraph ParseEdgesForm(const std::string& body, size_t line_no,
     if (trimmed.empty()) continue;
     const std::vector<std::string> uv = util::Split(trimmed, '-');
     if (uv.size() != 2) Fail(line_no, "edge must be <u>-<v>: " + trimmed);
-    const unsigned long u = std::stoul(uv[0]);
-    const unsigned long v = std::stoul(uv[1]);
+    graph::VertexId u = 0, v = 0;
+    if (!util::ParseDecimal(uv[0], &u) || !util::ParseDecimal(uv[1], &v)) {
+      Fail(line_no, "edge endpoints must be vertex indices: " + trimmed);
+    }
     if (u >= p.NumVertices() || v >= p.NumVertices()) {
       Fail(line_no, "edge endpoint out of range: " + trimmed);
     }
-    if (!p.AddEdge(static_cast<graph::VertexId>(u),
-                   static_cast<graph::VertexId>(v))) {
+    if (!p.AddEdge(u, v)) {
       Fail(line_no, "self loop or duplicate edge: " + trimmed);
     }
   }
@@ -69,6 +71,8 @@ Workload ReadWorkload(std::istream& is, graph::LabelRegistry* registry) {
     if (!(ls >> name >> freq_str >> shape)) {
       Fail(line_no, "expected '<name> <frequency> <shape-spec>'");
     }
+    std::string extra;
+    if (ls >> extra) Fail(line_no, "unexpected trailing field '" + extra + "'");
     // Finite-only parse: std::stod would accept "nan", and NaN slips past
     // the positivity check below (NaN <= 0.0 is false) into every weighted
     // ipt computation.
@@ -118,7 +122,12 @@ void WriteWorkload(const Workload& w, const graph::LabelRegistry& registry,
                    std::ostream& os) {
   os << "# loom workload: " << w.size() << " queries\n";
   for (const Query& q : w.queries()) {
-    os << q.name << " " << q.frequency << " edges:";
+    // Shortest round-trip form, so reading the file back yields the same
+    // double (operator<< rounds to 6 significant digits). 32 bytes fit any
+    // double's shortest form.
+    char freq[32];
+    const char* end = std::to_chars(freq, freq + sizeof freq, q.frequency).ptr;
+    os << q.name << " " << std::string_view(freq, end - freq) << " edges:";
     for (size_t i = 0; i < q.pattern.NumVertices(); ++i) {
       if (i) os << ",";
       os << registry.Name(q.pattern.label(static_cast<graph::VertexId>(i)));

@@ -1,26 +1,25 @@
-// Randomized stress / property tests for the sharded backend's concurrency
-// machinery (core/shard_sequencer.h, core/loom_sharded.h).
+// Lifecycle and concurrency stress for the partitioner backends.
 //
-// The equivalence suite proves bit-identity on clean end-to-end streams;
-// this suite fuzzes the *lifecycle*: seeded random interleavings of
-// IngestBatch (including empty and single-edge batches), per-edge Ingest,
-// mid-stream Finalize checkpoints with resumption, observer subscriptions
-// flipping mid-stream, and workload drift — each schedule replayed against
-// single-threaded loom for bit-identity, under shard counts and queue
-// depths chosen to force queue wraparound and producer backpressure. The
-// ShardTeam itself gets direct stress (thousands of slices through
-// depth-1 queues). Everything here is a first-class TSan target: the CI
-// sanitizer matrix runs this suite under ThreadSanitizer.
+// The contract suite (partitioners_test) proves that batch cuts never change
+// a seeded lifecycle. This suite covers what lies around it: a workload
+// drift in the middle of a Loom stream, backend churn (construct, feed a
+// few edges, destroy with or without Finalize), and independent backends
+// running on concurrent threads over one shared, read-only dataset. The
+// last case is the race target here: a backend that kept hidden shared
+// mutable state (a static cache, a lazily filled global table) would give
+// ThreadSanitizer a report, or a thread a different answer from the
+// sequential run. The CI sanitizer matrix runs this suite under TSan and
+// ASan/UBSan.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <random>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
-#include "core/loom_sharded.h"
-#include "core/shard_sequencer.h"
+#include "core/loom_partitioner.h"
 #include "datasets/dataset_registry.h"
 #include "engine/engine.h"
 #include "partition/partition_metrics.h"
@@ -31,145 +30,20 @@ namespace loom {
 namespace core {
 namespace {
 
-// ------------------------------------------------------------ ShardTeam
-
-TEST(ShardTeamTest, ProcessesEverySliceExactlyOncePerShard) {
-  constexpr uint32_t kShards = 5;
-  std::vector<uint64_t> edges_seen(kShards, 0);  // worker-owned cells
-  std::vector<uint64_t> slices_seen(kShards, 0);
-  ShardTeam team(kShards, /*queue_depth=*/2, /*slice_edges=*/16,
-                 [&](uint32_t shard, const ShardTeam::Slice& slice) {
-                   edges_seen[shard] += slice.edges.size();
-                   ++slices_seen[shard];
-                 });
-
-  std::vector<stream::StreamEdge> batch(1000);
-  for (size_t i = 0; i < batch.size(); ++i) batch[i].id = i;
-  team.Dispatch(batch);
-  team.Dispatch(std::span<const stream::StreamEdge>(batch.data(), 17));
-  team.Dispatch({});  // empty dispatch is a no-op barrier
-
-  // 1000/16 -> 63 slices, + 17/16 -> 2 slices; every shard sees each once.
-  for (uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(edges_seen[s], 1017u) << s;
-    EXPECT_EQ(slices_seen[s], 65u) << s;
-  }
-  const ShardSequencerStats& stats = team.stats();
-  EXPECT_EQ(stats.batches_dispatched, 3u);
-  EXPECT_EQ(stats.slices_posted, 65u * kShards);
-  EXPECT_LE(stats.max_queue_depth, 2u);
-}
-
-TEST(ShardTeamTest, DepthOneQueueBackpressuresWithoutLossOrDeadlock) {
-  // Tiny queue + tiny slices: the producer must repeatedly block on full
-  // queues and every slice must still arrive, in order, exactly once.
-  constexpr uint32_t kShards = 3;
-  std::vector<uint64_t> next_base(kShards, 0);
-  std::atomic<uint64_t> total{0};
-  ShardTeam team(kShards, /*queue_depth=*/1, /*slice_edges=*/1,
-                 [&](uint32_t shard, const ShardTeam::Slice& slice) {
-                   // Slices of one batch arrive in stream order.
-                   EXPECT_EQ(slice.base, next_base[shard]);
-                   next_base[shard] = slice.base + slice.edges.size();
-                   total.fetch_add(slice.edges.size(),
-                                   std::memory_order_relaxed);
-                 });
-  std::vector<stream::StreamEdge> batch(512);
-  for (int round = 0; round < 4; ++round) {
-    std::fill(next_base.begin(), next_base.end(), 0);
-    team.Dispatch(batch);
-  }
-  EXPECT_EQ(total.load(), 4u * 512u * kShards);
-  EXPECT_GT(team.stats().queue_full_stalls, 0u);
-}
-
-TEST(ShardTeamTest, ConstructDestructWithoutDispatchIsClean) {
-  for (int i = 0; i < 16; ++i) {
-    ShardTeam team(4, 2, 64, [](uint32_t, const ShardTeam::Slice&) {});
+/// Ingests [begin, end) of `all` into `p`, per edge or as one batch.
+void Feed(partition::Partitioner* p, const std::vector<stream::StreamEdge>& all,
+          size_t begin, size_t end, bool per_edge) {
+  if (per_edge) {
+    for (size_t i = begin; i < end; ++i) p->Ingest(all[i]);
+  } else {
+    p->IngestBatch(
+        std::span<const stream::StreamEdge>(all.data() + begin, end - begin));
   }
 }
 
-// ------------------------------------------- randomized schedule fuzzing
-
-/// One seeded lifecycle schedule: random batch sizes (occasionally empty,
-/// occasionally per-edge Ingest), random Finalize checkpoints, observer
-/// flipping on/off. Applies the identical schedule to any backend.
-template <typename Step>
-void PlaySchedule(uint64_t seed, const std::vector<stream::StreamEdge>& all,
-                  partition::Partitioner* p, engine::EngineObserver* observer,
-                  Step&& between_steps) {
-  std::mt19937_64 rng(seed);
-  size_t i = 0;
-  bool observed = false;
-  while (i < all.size()) {
-    const uint64_t roll = rng() % 100;
-    if (roll < 4) {
-      p->IngestBatch({});  // empty batch is legal and a no-op
-    } else if (roll < 14) {
-      p->Ingest(all[i]);
-      ++i;
-    } else {
-      const size_t n = std::min<size_t>(1 + rng() % 300, all.size() - i);
-      p->IngestBatch(std::span<const stream::StreamEdge>(all.data() + i, n));
-      i += n;
-    }
-    if (rng() % 10 == 0) p->Finalize();  // checkpoint + resume
-    if (rng() % 7 == 0) {
-      observed = !observed;
-      p->SetObserver(observed ? observer : nullptr);
-    }
-    between_steps(rng());
-  }
-  p->SetObserver(nullptr);
-  p->Finalize();
-}
-
-class ShardedStressTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ShardedStressTest, SeededLifecycleFuzzMatchesLoomBitForBit) {
-  const datasets::Dataset ds =
-      datasets::MakeDataset(datasets::DatasetId::kMusicBrainz, 0.05);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kRandom, 0x57e55);
-  const std::vector<stream::StreamEdge> all(es.begin(), es.end());
-  const engine::EngineOptions options = test_util::OptionsFor(ds);
-
-  for (const uint64_t seed : {uint64_t{1}, uint64_t{0xdead}, uint64_t{77}}) {
-    // Reference: single-threaded loom under the exact same schedule.
-    engine::StatsObserver loom_stats;
-    auto loom = test_util::MakeBackend("loom", options, ds);
-    ASSERT_NE(loom, nullptr);
-    PlaySchedule(seed, all, loom.get(), &loom_stats, [](uint64_t) {});
-
-    engine::StatsObserver sharded_stats;
-    auto sharded = test_util::MakeBackend(GetParam(), options, ds);
-    ASSERT_NE(sharded, nullptr);
-    PlaySchedule(seed, all, sharded.get(), &sharded_stats, [](uint64_t) {});
-
-    EXPECT_EQ(test_util::QualityOf(*sharded, ds),
-              test_util::QualityOf(*loom, ds))
-        << GetParam() << " seed=" << seed;
-    EXPECT_TRUE(partition::FullyAssigned(ds.graph, sharded->partitioning()));
-    // The observer saw identical decision traffic while subscribed (the
-    // schedule flips subscriptions at identical points).
-    EXPECT_EQ(sharded_stats.totals().vertices_assigned,
-              loom_stats.totals().vertices_assigned);
-    EXPECT_EQ(sharded_stats.totals().evictions,
-              loom_stats.totals().evictions);
-    EXPECT_EQ(sharded_stats.totals().cluster_decisions,
-              loom_stats.totals().cluster_decisions);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ShardAndQueueSweep, ShardedStressTest,
-    ::testing::Values("loom-sharded:shards=2,shard_queue_depth=1",
-                      "loom-sharded:shards=5,shard_queue_depth=2",
-                      "loom-sharded:shards=8"));
-
-TEST(ShardedStressTest, WorkloadDriftMidStreamMatchesLoom) {
-  // UpdateWorkload between ingests must shift both backends identically —
-  // including every shard's private admission memo.
+TEST(LoomStressTest, WorkloadDriftMidStreamIsBatchCutInvariant) {
+  // UpdateWorkload between two halves of the stream must shift Loom the
+  // same way whether the halves arrive edge by edge or as single batches.
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
   const stream::EdgeStream es =
@@ -187,35 +61,28 @@ TEST(ShardedStressTest, WorkloadDriftMidStreamMatchesLoom) {
     }
   }
 
-  auto loom = test_util::MakeBackend("loom", options, ds);
-  auto sharded = test_util::MakeBackend("loom-sharded:shards=3", options, ds);
-  ASSERT_NE(loom, nullptr);
-  ASSERT_NE(sharded, nullptr);
-  auto* loom_core = dynamic_cast<LoomPartitioner*>(loom.get());
-  auto* sharded_core = dynamic_cast<LoomShardedPartitioner*>(sharded.get());
-  ASSERT_NE(loom_core, nullptr);
-  ASSERT_NE(sharded_core, nullptr);
-
-  const size_t half = all.size() / 2;
-  for (partition::Partitioner* p : {loom.get(), sharded.get()}) {
-    p->IngestBatch(std::span<const stream::StreamEdge>(all.data(), half));
-  }
-  loom_core->UpdateWorkload(drifted, 0.3);
-  sharded_core->UpdateWorkload(drifted, 0.3);
-  for (partition::Partitioner* p : {loom.get(), sharded.get()}) {
-    p->IngestBatch(
-        std::span<const stream::StreamEdge>(all.data() + half,
-                                            all.size() - half));
+  auto run = [&](bool per_edge) {
+    auto p = test_util::MakeBackend("loom", options, ds);
+    if (p == nullptr) return test_util::Quality{};
+    auto* core = dynamic_cast<LoomPartitioner*>(p.get());
+    EXPECT_NE(core, nullptr);
+    if (core == nullptr) return test_util::Quality{};
+    const size_t half = all.size() / 2;
+    Feed(p.get(), all, 0, half, per_edge);
+    core->UpdateWorkload(drifted, 0.3);
+    Feed(p.get(), all, half, all.size(), per_edge);
     p->Finalize();
-  }
-  EXPECT_EQ(test_util::QualityOf(*sharded, ds),
-            test_util::QualityOf(*loom, ds));
+    EXPECT_TRUE(partition::FullyAssigned(ds.graph, p->partitioning()))
+        << "per_edge=" << per_edge;
+    return test_util::QualityOf(*p, ds);
+  };
+  EXPECT_EQ(run(/*per_edge=*/true), run(/*per_edge=*/false));
 }
 
-TEST(ShardedStressTest, ManyShortLivedBackendsStartAndStopCleanly) {
-  // Thread lifecycle churn: construct, optionally feed a few edges, destroy
-  // — including destruction with no Finalize (workers must join cleanly
-  // whatever state the stream was left in).
+TEST(LoomStressTest, ManyShortLivedBackendsStartAndStopCleanly) {
+  // Lifecycle churn: construct, feed a few edges, destroy — including
+  // destruction with no Finalize, so a part-full window, live matches and
+  // pooled match storage are torn down mid-stream (ASan/UBSan target).
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kDblp, 0.02);
   const stream::EdgeStream es =
@@ -225,12 +92,54 @@ TEST(ShardedStressTest, ManyShortLivedBackendsStartAndStopCleanly) {
 
   std::mt19937_64 rng(99);
   for (int round = 0; round < 12; ++round) {
-    auto p = test_util::MakeBackend("loom-sharded:shards=4", options, ds);
+    auto p = test_util::MakeBackend("loom", options, ds);
     ASSERT_NE(p, nullptr);
     const size_t n = rng() % std::min<size_t>(all.size(), 500);
-    p->IngestBatch(std::span<const stream::StreamEdge>(all.data(), n));
-    if (rng() % 2 == 0) p->Finalize();
+    Feed(p.get(), all, 0, n, /*per_edge=*/rng() % 2 == 0);
+    if (rng() % 2 == 0) {
+      p->Finalize();
+      // Finalize flushes the window: every endpoint seen so far is placed.
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(p->partitioning().IsAssigned(all[i].u)) << round;
+        ASSERT_TRUE(p->partitioning().IsAssigned(all[i].v)) << round;
+      }
+    }
     // p destroyed here, possibly with a part-full window.
+  }
+}
+
+TEST(ConcurrentBackendsTest, IndependentInstancesOnThreadsMatchSequentialRuns) {
+  // Each thread owns its backend; the dataset and the registry are shared
+  // read-only. Every thread must reproduce the sequential result exactly.
+  const datasets::Dataset ds =
+      datasets::MakeDataset(datasets::DatasetId::kMusicBrainz, 0.05);
+  const stream::EdgeStream es =
+      stream::MakeStream(ds.graph, stream::StreamOrder::kRandom, 0x57e55);
+  const std::vector<stream::StreamEdge> all(es.begin(), es.end());
+  const engine::EngineOptions options = test_util::OptionsFor(ds);
+  const std::vector<std::string> specs = {"loom", "loom", "ldg", "fennel"};
+
+  auto run = [&](const std::string& spec) {
+    auto p = test_util::MakeBackend(spec, options, ds);
+    if (p == nullptr) return test_util::Quality{};
+    Feed(p.get(), all, 0, all.size(), /*per_edge=*/false);
+    p->Finalize();
+    return test_util::QualityOf(*p, ds);
+  };
+
+  std::vector<test_util::Quality> sequential;
+  for (const std::string& spec : specs) sequential.push_back(run(spec));
+
+  std::vector<test_util::Quality> concurrent(specs.size());
+  std::vector<std::thread> threads;
+  threads.reserve(specs.size());
+  for (size_t t = 0; t < specs.size(); ++t) {
+    threads.emplace_back([&, t] { concurrent[t] = run(specs[t]); });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (size_t t = 0; t < specs.size(); ++t) {
+    EXPECT_EQ(concurrent[t], sequential[t]) << specs[t] << " thread " << t;
   }
 }
 

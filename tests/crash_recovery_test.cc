@@ -166,9 +166,7 @@ RunOutcome Outcome(engine::Session& session, const engine::RunReport& report,
           report.events};
 }
 
-// Everything deterministic must match. shard_slices/shard_queue_stalls are
-// documented as reporting-only scheduling telemetry (loom_sharded.h) — a
-// resumed process restarts them — so they are the two exclusions.
+// Everything deterministic must match.
 void ExpectSameOutcome(const RunOutcome& resumed, const RunOutcome& baseline,
                        const std::string& label) {
   EXPECT_EQ(resumed.quality, baseline.quality) << label;
@@ -252,10 +250,6 @@ INSTANTIATE_TEST_SUITE_P(
     testing::ValuesIn(std::vector<MatrixCase>{
         {"loom_provgen", "loom", datasets::DatasetId::kProvGen, 0.05},
         {"loom_musicbrainz", "loom", datasets::DatasetId::kMusicBrainz, 0.05},
-        {"sharded_provgen", "loom-sharded:shards=3",
-         datasets::DatasetId::kProvGen, 0.05},
-        {"sharded_musicbrainz", "loom-sharded:shards=3",
-         datasets::DatasetId::kMusicBrainz, 0.05},
         // Edge partitioners: backend_stats carries the whole quality triple
         // (replica_total, max/min part edges, edge_assignment_hash), so the
         // same EXPECT_EQ proves RF/balance/hash survive a kill -9.
@@ -360,31 +354,30 @@ TEST(OpenAlphabetTest, LabelsBeyondTheCtorAlphabetGrowAndRecover) {
   };
 
   const uint64_t m = edges.size();
-  for (const char* spec : {"loom", "loom-sharded:shards=3"}) {
-    auto baseline_session = MustCreate(spec, ds);
-    ASSERT_NE(baseline_session, nullptr);
-    VectorSource baseline_source(edges);
-    baseline_session->IngestSome(baseline_source, m);
-    const RunOutcome baseline =
-        Outcome(*baseline_session, baseline_session->Finish(), ds);
+  const char* spec = "loom";
+  auto baseline_session = MustCreate(spec, ds);
+  ASSERT_NE(baseline_session, nullptr);
+  VectorSource baseline_source(edges);
+  baseline_session->IngestSome(baseline_source, m);
+  const RunOutcome baseline =
+      Outcome(*baseline_session, baseline_session->Finish(), ds);
 
-    const std::string path = TempPath("open_alphabet.loomck");
-    {
-      auto doomed = MustCreate(spec, ds);
-      VectorSource source(edges);
-      doomed->IngestSome(source, m / 2);
-      std::string error;
-      ASSERT_TRUE(doomed->Checkpoint(path, &error)) << spec << ": " << error;
-    }
-    auto resumed = MustCreate(spec, ds);
-    std::string error;
-    ASSERT_TRUE(resumed->Resume(path, &error)) << spec << ": " << error;
+  const std::string path = TempPath("open_alphabet.loomck");
+  {
+    auto doomed = MustCreate(spec, ds);
     VectorSource source(edges);
-    SkipEdges(source, m / 2);
-    resumed->IngestSome(source, m);
-    ExpectSameOutcome(Outcome(*resumed, resumed->Finish(), ds), baseline,
-                      std::string(spec) + " open alphabet");
+    doomed->IngestSome(source, m / 2);
+    std::string error;
+    ASSERT_TRUE(doomed->Checkpoint(path, &error)) << spec << ": " << error;
   }
+  auto resumed = MustCreate(spec, ds);
+  std::string error;
+  ASSERT_TRUE(resumed->Resume(path, &error)) << spec << ": " << error;
+  VectorSource source(edges);
+  SkipEdges(source, m / 2);
+  resumed->IngestSome(source, m);
+  ExpectSameOutcome(Outcome(*resumed, resumed->Finish(), ds), baseline,
+                    std::string(spec) + " open alphabet");
 }
 
 // ---------------------------------------------- corruption & skew legs
@@ -477,6 +470,31 @@ TEST_F(CorruptionTest, BadMagicAndFutureVersionAreActionable) {
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
+// A file written by the previous format (v1 carried three more session
+// fields and two more option keys) must be refused by its version, before
+// any section is parsed — never misread, never an arity error.
+TEST_F(CorruptionTest, PreviousFormatVersionIsRejectedByVersion) {
+  std::vector<char> old = bytes_;
+  old[6] = 1;
+  old[7] = 0;
+  // The version sits in the header, outside every section checksum, so
+  // the patched file's checksums are all still valid: only the version
+  // check stands between it and a misparse.
+  const std::string path = WriteVariant("v1.loomck", old);
+  auto session = MustCreate("loom", ds_);
+  std::string error;
+  EXPECT_FALSE(session->Resume(path, &error));
+  EXPECT_NE(error.find("unsupported format version 1"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+
+  // Control: the same bytes with the current version restore cleanly.
+  old[6] = static_cast<char>(io::kCheckpointVersion);
+  const std::string control = WriteVariant("v2.loomck", old);
+  auto fresh = MustCreate("loom", ds_);
+  EXPECT_TRUE(fresh->Resume(control, &error)) << error;
+}
+
 TEST_F(CorruptionTest, ConfigurationSkewIsNamedNotSilent) {
   // Different window size: the rejection must name the offending knob.
   {
@@ -506,19 +524,6 @@ TEST_F(CorruptionTest, ConfigurationSkewIsNamedNotSilent) {
     ASSERT_NE(session, nullptr) << error;
     EXPECT_FALSE(session->Resume(path_, &error));
     EXPECT_NE(error.find("label-space mismatch"), std::string::npos) << error;
-  }
-  // Different shard count is an options skew too (and the backend's own
-  // shard section guards the same invariant one layer deeper).
-  {
-    const std::string sharded_path = TempPath("sharded_victim.loomck");
-    auto writer = MustCreate("loom-sharded:shards=3", ds_);
-    engine::EdgeStreamSource source(es_);
-    writer->IngestSome(source, es_.size() / 2);
-    std::string error;
-    ASSERT_TRUE(writer->Checkpoint(sharded_path, &error)) << error;
-    auto session = MustCreate("loom-sharded:shards=2", ds_);
-    EXPECT_FALSE(session->Resume(sharded_path, &error));
-    EXPECT_NE(error.find("shards"), std::string::npos) << error;
   }
   // A used session cannot Resume (restore assumes pristine structures).
   {

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "core/loom_partitioner.h"
-#include "core/loom_sharded.h"
 #include "datasets/dataset_registry.h"
 #include "eval/experiment.h"
 #include "partition/fennel_partitioner.h"
@@ -50,8 +49,6 @@ TEST(EngineOptionsTest, EveryKeyRoundTripsFromItsStringForm) {
       {"epsilon", "0.25"},
       {"threshold_factor", "6.5"},
       {"simd", "scalar"},
-      {"shards", "3"},
-      {"shard_queue_depth", "2"},
   };
   ASSERT_EQ(overrides.size(), EngineOptions::KeyNames().size())
       << "new EngineOptions key without round-trip coverage";
@@ -105,9 +102,6 @@ TEST(EngineOptionsTest, OutOfRangeValuesRejected) {
   EXPECT_FALSE(o.Set("max_imbalance", "0.9", &error));
   EXPECT_FALSE(o.Set("fennel_gamma", "1.0", &error));
   EXPECT_FALSE(o.Set("disable_rationing", "maybe", &error));
-  EXPECT_FALSE(o.Set("shards", "0", &error));
-  EXPECT_FALSE(o.Set("shards", "257", &error));
-  EXPECT_FALSE(o.Set("shard_queue_depth", "0", &error));
   EXPECT_FALSE(o.Set("max_matches_per_vertex", "0", &error));
   // 2^63 would wrap the matcher's doubled extension cap to 0.
   EXPECT_FALSE(o.Set("max_matches_per_vertex", "9223372036854775808", &error));
@@ -133,18 +127,10 @@ TEST(EngineOptionsTest, ApplyOverridesStopsAtFirstError) {
 // ------------------------------------------------------------ registry
 
 TEST(PartitionerRegistryTest, BuiltinsAreRegistered) {
-  auto names = PartitionerRegistry::Global().Names();
-  ASSERT_GE(names.size(), 8u);
-  EXPECT_EQ(names[0], "hash");
-  EXPECT_EQ(names[1], "ldg");
-  EXPECT_EQ(names[2], "fennel");
-  EXPECT_EQ(names[3], "loom");
-  EXPECT_EQ(names[4], "loom-sharded");
-  // The edge-partitioning family (PR 9, hep in PR 10) registers after the
-  // vertex family.
-  EXPECT_EQ(names[5], "hdrf");
-  EXPECT_EQ(names[6], "dbh");
-  EXPECT_EQ(names[7], "hep");
+  // The vertex family, then the edge-partitioning family.
+  EXPECT_EQ(PartitionerRegistry::Global().Names(),
+            (std::vector<std::string>{"hash", "ldg", "fennel", "loom", "hdrf",
+                                      "dbh", "hep"}));
 }
 
 TEST(PartitionerRegistryTest, UnknownBackendErrorListsRegisteredOnes) {
@@ -170,13 +156,11 @@ TEST(PartitionerRegistryTest, ProgrammaticBadSimdValueFailsWithActionableError) 
 }
 
 TEST(PartitionerRegistryTest, LoomWithoutWorkloadFailsWithActionableError) {
-  for (const char* backend : {"loom", "loom-sharded"}) {
-    std::string error;
-    auto p = PartitionerRegistry::Global().Create(backend, EngineOptions(), {},
-                                                  &error);
-    EXPECT_EQ(p, nullptr) << backend;
-    EXPECT_NE(error.find("workload"), std::string::npos) << error;
-  }
+  std::string error;
+  auto p = PartitionerRegistry::Global().Create("loom", EngineOptions(), {},
+                                                &error);
+  EXPECT_EQ(p, nullptr);
+  EXPECT_NE(error.find("workload"), std::string::npos) << error;
 }
 
 TEST(PartitionerRegistryTest, RegisterRejectsDuplicatesAcceptsNew) {
@@ -210,8 +194,6 @@ TEST(PartitionerRegistryTest,
   core::LoomOptions loom_options;
   loom_options.base = base;
   loom_options.window_size = 6;
-  core::LoomShardedOptions sharded_options;
-  sharded_options.loom = loom_options;
 
   std::vector<std::unique_ptr<partition::Partitioner>> direct;
   direct.push_back(std::make_unique<partition::HashPartitioner>(base));
@@ -219,8 +201,6 @@ TEST(PartitionerRegistryTest,
   direct.push_back(std::make_unique<partition::FennelPartitioner>(base));
   direct.push_back(std::make_unique<core::LoomPartitioner>(
       loom_options, ds.workload, ds.registry.size()));
-  direct.push_back(std::make_unique<core::LoomShardedPartitioner>(
-      sharded_options, ds.workload, ds.registry.size()));
 
   for (auto& d : direct) {
     auto r = test_util::MakeBackend(d->name(), options, ds);

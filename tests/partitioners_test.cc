@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "datasets/dataset_registry.h"
 #include "engine/engine.h"
@@ -189,13 +192,11 @@ INSTANTIATE_TEST_SUITE_P(
                           stream::StreamOrder::kRandom),
         ::testing::Values(2u, 8u, 32u)));
 
-// -------------------------------------------- Finalize contract (all five)
+// ----------------------------------------- Finalize contract (every backend)
 //
-// Pins the partitioner.h contract: Finalize is idempotent, and Ingest after
-// Finalize resumes the stream (a later Finalize covers the new vertices).
-// "loom-sharded" runs the same suite: its worker threads live across
-// checkpoints, so these tests double as thread-lifecycle coverage (and as
-// race targets for the TSan CI leg).
+// Pins the partitioner.h contract: Finalize is idempotent, Ingest after
+// Finalize resumes the stream (a later Finalize covers the new vertices),
+// and how the stream is cut into batches never changes the result.
 
 class PartitionerContractTest
     : public ::testing::TestWithParam<const char*> {};
@@ -266,8 +267,6 @@ TEST_P(PartitionerContractTest, SeededCheckpointScheduleIsDeterministic) {
   // Randomized schedule property: random batch sizes interleaved with
   // mid-stream Finalize checkpoints. Two runs of the same seeded schedule
   // must agree bit-for-bit, end fully assigned, and re-Finalize stably.
-  // For loom-sharded this is the determinism probe across thread
-  // interleavings — the schedule is fixed, the OS scheduling is not.
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
   auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kRandom, 0x7ab);
   const std::vector<stream::StreamEdge> all(es.begin(), es.end());
@@ -297,10 +296,94 @@ TEST_P(PartitionerContractTest, SeededCheckpointScheduleIsDeterministic) {
   }
 }
 
+/// Per-edge-position schedule events (bit flags): a Finalize checkpoint, and
+/// a flip of the observer subscription, both applied before that edge.
+constexpr uint8_t kFinalizeHere = 1;
+constexpr uint8_t kFlipObserverHere = 2;
+
+/// Seeded events: a Finalize every ~500 edges and an observer flip every
+/// ~300, at positions that depend on `seed` only.
+std::vector<uint8_t> ScheduleEvents(uint64_t seed, size_t num_edges) {
+  std::mt19937_64 rng(seed);
+  std::vector<uint8_t> events(num_edges, 0);
+  for (size_t i = 1; i < num_edges; ++i) {
+    if (rng() % 500 == 0) events[i] |= kFinalizeHere;
+    if (rng() % 300 == 0) events[i] |= kFlipObserverHere;
+  }
+  return events;
+}
+
+/// Plays `all` through `p` with the given events. `cut_seed` only decides
+/// how the edges between two event positions are cut: empty batches,
+/// per-edge Ingest, and IngestBatch of 1..300 edges.
+void PlaySchedule(const std::vector<uint8_t>& events, uint64_t cut_seed,
+                  const std::vector<stream::StreamEdge>& all, Partitioner* p,
+                  engine::EngineObserver* observer) {
+  std::mt19937_64 rng(cut_seed);
+  bool observed = false;
+  size_t i = 0;
+  while (i < all.size()) {
+    if (events[i] & kFinalizeHere) p->Finalize();
+    if (events[i] & kFlipObserverHere) {
+      observed = !observed;
+      p->SetObserver(observed ? observer : nullptr);
+    }
+    size_t next = i + 1;  // no batch may straddle the next event
+    while (next < all.size() && events[next] == 0) ++next;
+    while (i < next) {
+      const uint64_t roll = rng() % 100;
+      if (roll < 4) {
+        p->IngestBatch({});  // empty batch is legal and a no-op
+      } else if (roll < 14) {
+        p->Ingest(all[i++]);
+      } else {
+        const size_t n = std::min<size_t>(1 + rng() % 300, next - i);
+        p->IngestBatch(std::span<const stream::StreamEdge>(all.data() + i, n));
+        i += n;
+      }
+    }
+  }
+  p->SetObserver(nullptr);
+  p->Finalize();
+}
+
+TEST_P(PartitionerContractTest, BatchCutsNeverChangeASeededLifecycle) {
+  // Same Finalize positions and observer flips, different batch cuts: the
+  // cuts are layout, so the partitionings and the observed decision
+  // traffic must be identical.
+  const datasets::Dataset ds =
+      datasets::MakeDataset(datasets::DatasetId::kMusicBrainz, 0.05);
+  const stream::EdgeStream es =
+      stream::MakeStream(ds.graph, stream::StreamOrder::kRandom, 0x57e55);
+  const std::vector<stream::StreamEdge> all(es.begin(), es.end());
+  const engine::EngineOptions options = test_util::OptionsFor(ds);
+
+  for (const uint64_t event_seed : {uint64_t{1}, uint64_t{0xdead}}) {
+    const std::vector<uint8_t> events = ScheduleEvents(event_seed, all.size());
+    auto run = [&](uint64_t cut_seed, engine::StatsObserver* stats) {
+      auto p = test_util::MakeBackend(GetParam(), options, ds);
+      if (p == nullptr) return test_util::Quality{};
+      PlaySchedule(events, cut_seed, all, p.get(), stats);
+      EXPECT_TRUE(FullyAssigned(ds.graph, p->partitioning()))
+          << p->name() << " events=" << event_seed << " cuts=" << cut_seed;
+      return test_util::QualityOf(*p, ds);
+    };
+    engine::StatsObserver a_stats, b_stats;
+    const test_util::Quality a = run(77, &a_stats);
+    const test_util::Quality b = run(0xfeed, &b_stats);
+    EXPECT_EQ(a, b) << GetParam() << " events=" << event_seed;
+    const engine::StatsObserver::Totals& at = a_stats.totals();
+    const engine::StatsObserver::Totals& bt = b_stats.totals();
+    EXPECT_EQ(at.vertices_assigned, bt.vertices_assigned) << GetParam();
+    EXPECT_EQ(at.evictions, bt.evictions) << GetParam();
+    EXPECT_EQ(at.cluster_decisions, bt.cluster_decisions) << GetParam();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, PartitionerContractTest,
                          ::testing::Values("hash", "ldg", "fennel", "loom",
-                                           "loom-sharded", "hdrf:lambda=1.1",
-                                           "dbh", "hep:threshold_factor=4"));
+                                           "hdrf:lambda=1.1", "dbh",
+                                           "hep:threshold_factor=4"));
 
 }  // namespace
 }  // namespace partition

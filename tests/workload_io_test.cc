@@ -46,6 +46,20 @@ TEST(WorkloadIoTest, RoundTripsThroughEdgesForm) {
     EXPECT_EQ(back.queries()[i].pattern.NumVertices(),
               ds.workload.queries()[i].pattern.NumVertices());
   }
+
+  // Frequencies survive a write/read exactly, including ones that six
+  // significant digits would round.
+  Workload odd;
+  const graph::LabelId a = reg.Intern("a"), b = reg.Intern("b");
+  odd.Add("third", graph::PatternGraph::Path({a, b}), 1.0 / 3);
+  odd.Add("sum", graph::PatternGraph::Path({a, b}), 0.1 + 0.2);
+  std::stringstream odd_ss;
+  WriteWorkload(odd, reg, odd_ss);
+  graph::LabelRegistry reg3;
+  Workload odd_back = ReadWorkload(odd_ss, &reg3);
+  ASSERT_EQ(odd_back.size(), 2u);
+  EXPECT_EQ(odd_back.queries()[0].frequency, 1.0 / 3);
+  EXPECT_EQ(odd_back.queries()[1].frequency, 0.1 + 0.2);
 }
 
 TEST(WorkloadIoTest, RejectsMalformedInput) {
@@ -64,6 +78,25 @@ TEST(WorkloadIoTest, RejectsMalformedInput) {
   expect_throw("q1 0.5 edges:a,b:0-5\n");          // endpoint out of range
   expect_throw("q1 0.5 edges:a,b:0-0\n");          // self loop
   expect_throw("q1 0.5 edges:a,b,c:0-1\n");        // disconnected (c isolated)
+  expect_throw("q1 1.0 edges:a,b:x-1\n");          // non-numeric endpoint
+  expect_throw("q1 1.0 edges:a,b:0-1x\n");         // trailing endpoint chars
+  expect_throw("q1 1.0 path:a-b trailing junk\n"); // fourth field
+  // Errors name the line and the offending token.
+  auto message = [&](const std::string& text) -> std::string {
+    std::stringstream ss(text);
+    try {
+      ReadWorkload(ss, &reg);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string endpoint = message("# c\nq1 1.0 edges:a,b:x-1\n");
+  EXPECT_NE(endpoint.find("line 2"), std::string::npos) << endpoint;
+  EXPECT_NE(endpoint.find("x-1"), std::string::npos) << endpoint;
+  const std::string trailing = message("q1 1.0 path:a-b trailing junk\n");
+  EXPECT_NE(trailing.find("line 1"), std::string::npos) << trailing;
+  EXPECT_NE(trailing.find("trailing"), std::string::npos) << trailing;
 }
 
 TEST(WorkloadIoTest, MissingFileThrows) {

@@ -27,6 +27,7 @@
 #include "io/edge_stream_io.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -124,6 +125,29 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // ingest-file flags are checked before connecting, so a typo fails fast
+  // (exit 2) instead of after the server accepted the connection.
+  uint64_t from = 0;
+  size_t depth = 512;
+  if (rest[0] == "ingest-file" && rest.size() >= 2) {
+    for (size_t i = 2; i < rest.size(); i += 2) {
+      const std::string& flag = rest[i];
+      if (i + 1 >= rest.size() || (flag != "--from" && flag != "--depth")) {
+        Usage();
+        return 2;
+      }
+      const bool ok = flag == "--from"
+                          ? loom::util::ParseDecimal(rest[i + 1], &from)
+                          : loom::util::ParseDecimal(rest[i + 1], &depth);
+      if (!ok) {
+        std::cerr << flag << " needs a non-negative integer, got '"
+                  << rest[i + 1] << "'\n";
+        return 2;
+      }
+    }
+    if (depth == 0) depth = 1;
+  }
+
   loom::serve::Client client;
   std::string error;
   if (!client.Connect(socket_path, &error)) {
@@ -149,23 +173,6 @@ int main(int argc, char** argv) {
       return Roundtrip(&client, "INGEST " + rest[1] + " " + rest[2] + " " +
                                     rest[3] + " " + rest[4]);
     } else if (cmd == "ingest-file" && rest.size() >= 2) {
-      uint64_t from = 0;
-      size_t depth = 512;
-      for (size_t i = 2; i < rest.size(); i += 2) {
-        if (i + 1 >= rest.size()) {
-          Usage();
-          return 2;
-        }
-        if (rest[i] == "--from") {
-          from = std::stoull(rest[i + 1]);
-        } else if (rest[i] == "--depth") {
-          depth = std::stoul(rest[i + 1]);
-          if (depth == 0) depth = 1;
-        } else {
-          Usage();
-          return 2;
-        }
-      }
       return IngestFile(&client, rest[1], from, depth);
     }
   } catch (const std::exception& e) {

@@ -4,7 +4,7 @@
 // Usage:
 //   loom_partition --graph G.lg --workload Q.lw [--system loom] [--k 8]
 //                  [--order bfs|dfs|random|canonical] [--window 10000]
-//                  [--threshold 0.4] [--shards N] [--opt key=value]...
+//                  [--threshold 0.4] [--opt key=value]...
 //                  [--seed N] [--out assignment.tsv]
 //                  [--output-assignments assignment.tsv] [--evaluate]
 //   loom_partition --input S.les --workload Q.lw [flags as above]
@@ -42,6 +42,7 @@
 #include <csignal>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -84,9 +85,8 @@ struct Args {
   std::string resume_path;        // restore this checkpoint before driving
   uint64_t checkpoint_every = 100000;  // snapshot cadence, in edges
   uint32_t k = 8;
-  size_t window = 10000;
+  uint64_t window = 10000;
   double threshold = 0.4;
-  uint32_t shards = 0;  // 0 = leave the EngineOptions default
   uint64_t seed = 0x10c5;
   bool evaluate = false;
   bool progress = false;  // per-slice progress + decision-latency histogram
@@ -101,7 +101,7 @@ void Usage() {
                "         --workload Q.lw\n"
                "         [--system NAME | NAME:key=value,...] [--k N]\n"
                "         [--order bfs|dfs|random|canonical] [--window N]\n"
-               "         [--threshold F] [--shards N] [--opt key=value]...\n"
+               "         [--threshold F] [--opt key=value]...\n"
                "         [--seed N] [--out FILE | --output-assignments FILE]\n"
                "         [--edge-out FILE]\n"
                "         [--checkpoint FILE] [--checkpoint-every EDGES]\n"
@@ -143,6 +143,16 @@ void UsageOpts() {
     std::cerr << "  " << info.name << "=" << defaults.Get(info.name) << "\n"
               << "      " << info.help << "  (" << info.spec << ")\n";
   }
+}
+
+// Integer flag values parse at the field's own type: no sign, no trailing
+// characters, no silent wrap past its range.
+template <typename T>
+bool ParseUint(const char* flag, const char* v, T* out) {
+  if (loom::util::ParseDecimal(std::string_view(v), out)) return true;
+  std::cerr << flag << " needs an integer in [0, "
+            << std::numeric_limits<T>::max() << "], got '" << v << "'\n";
+  return false;
 }
 
 bool Parse(int argc, char** argv, Args* args) {
@@ -189,12 +199,14 @@ bool Parse(int argc, char** argv, Args* args) {
       args->opts.emplace_back(v);
     } else if (std::strcmp(argv[i], "--k") == 0) {
       const char* v = need_value("--k");
-      if (!v) return false;
-      args->k = static_cast<uint32_t>(std::stoul(v));
+      if (!v || !ParseUint("--k", v, &args->k)) return false;
+      if (args->k == 0) {
+        std::cerr << "--k must be at least 1\n";
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--window") == 0) {
       const char* v = need_value("--window");
-      if (!v) return false;
-      args->window = std::stoul(v);
+      if (!v || !ParseUint("--window", v, &args->window)) return false;
     } else if (std::strcmp(argv[i], "--threshold") == 0) {
       const char* v = need_value("--threshold");
       if (!v) return false;
@@ -215,8 +227,9 @@ bool Parse(int argc, char** argv, Args* args) {
       }
     } else if (std::strcmp(argv[i], "--rebalance-to") == 0) {
       const char* v = need_value("--rebalance-to");
-      if (!v) return false;
-      args->rebalance_to = static_cast<uint32_t>(std::stoul(v));
+      if (!v || !ParseUint("--rebalance-to", v, &args->rebalance_to)) {
+        return false;
+      }
       if (args->rebalance_to == 0) {
         std::cerr << "--rebalance-to must be positive\n";
         return false;
@@ -225,18 +238,15 @@ bool Parse(int argc, char** argv, Args* args) {
       const char* v = need_value("--edge-assignments");
       if (!v) return false;
       args->edge_assignments_path = v;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = need_value("--shards");
-      if (!v) return false;
-      args->shards = static_cast<uint32_t>(std::stoul(v));
     } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
       const char* v = need_value("--checkpoint");
       if (!v) return false;
       args->checkpoint_path = v;
     } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
       const char* v = need_value("--checkpoint-every");
-      if (!v) return false;
-      args->checkpoint_every = std::stoull(v);
+      if (!v || !ParseUint("--checkpoint-every", v, &args->checkpoint_every)) {
+        return false;
+      }
       if (args->checkpoint_every == 0) {
         std::cerr << "--checkpoint-every must be positive\n";
         return false;
@@ -247,8 +257,7 @@ bool Parse(int argc, char** argv, Args* args) {
       args->resume_path = v;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       const char* v = need_value("--seed");
-      if (!v) return false;
-      args->seed = std::stoull(v);
+      if (!v || !ParseUint("--seed", v, &args->seed)) return false;
     } else if (std::strcmp(argv[i], "--evaluate") == 0) {
       args->evaluate = true;
     } else if (std::strcmp(argv[i], "--progress") == 0) {
@@ -343,15 +352,7 @@ int RunRebalance(const Args& args) {
 int main(int argc, char** argv) {
   using namespace loom;
   Args args;
-  try {
-    if (!Parse(argc, argv, &args)) {
-      Usage();
-      return 2;
-    }
-  } catch (const std::exception&) {
-    // std::stoul/stod on a malformed numeric flag — print usage, don't
-    // abort with an unhandled exception.
-    std::cerr << "malformed numeric flag value\n";
+  if (!Parse(argc, argv, &args)) {
     Usage();
     return 2;
   }
@@ -418,7 +419,6 @@ int main(int argc, char** argv) {
     options.expected_edges = expected_edges;
     options.window_size = args.window;
     options.support_threshold = args.threshold;
-    if (args.shards > 0) options.shards = args.shards;
     std::string error;
     if (!options.ApplyOverrides(args.opts, &error)) {
       std::cerr << "error: " << error << "\n";

@@ -3,7 +3,7 @@
 // Usage:
 //   loom_serve --socket /tmp/loom.sock --workload Q.lw --like S.les
 //              [--system loom] [--k 8] [--window 10000] [--threshold 0.4]
-//              [--shards N] [--opt key=value]...
+//              [--opt key=value]...
 //              [--checkpoint FILE] [--checkpoint-every EDGES]
 //              [--resume FILE] [--ingest-log FILE] [--tail S.les]
 //              [--out assignment.tsv]
@@ -30,6 +30,7 @@
 #include <csignal>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -62,16 +63,15 @@ struct Args {
   std::string tail_path;
   uint64_t checkpoint_every = 0;
   uint32_t k = 8;
-  size_t window = 10000;
+  uint64_t window = 10000;
   double threshold = 0.4;
-  uint32_t shards = 0;
 };
 
 void Usage() {
   std::cerr
       << "usage: loom_serve --socket PATH --workload Q.lw --like S.les\n"
          "         [--system NAME | NAME:key=value,...] [--k N]\n"
-         "         [--window N] [--threshold F] [--shards N]\n"
+         "         [--window N] [--threshold F]\n"
          "         [--opt key=value]... [--checkpoint FILE]\n"
          "         [--checkpoint-every EDGES] [--resume FILE]\n"
          "         [--ingest-log FILE] [--tail S.les] [--out FILE]\n"
@@ -80,6 +80,16 @@ void Usage() {
          "  SNAPSHOT-QUALITY | SHUTDOWN\n"
          "SIGINT/SIGTERM or SHUTDOWN drain gracefully (final checkpoint,\n"
          "flushed sinks, exit 0).\n";
+}
+
+// Integer flag values parse at the field's own type: no sign, no trailing
+// characters, no silent wrap past its range.
+template <typename T>
+bool ParseUint(const char* flag, const char* v, T* out) {
+  if (loom::util::ParseDecimal(std::string_view(v), out)) return true;
+  std::cerr << flag << " needs an integer in [0, "
+            << std::numeric_limits<T>::max() << "], got '" << v << "'\n";
+  return false;
 }
 
 bool Parse(int argc, char** argv, Args* args) {
@@ -121,16 +131,19 @@ bool Parse(int argc, char** argv, Args* args) {
       args->opts.emplace_back(v);
     } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
       const char* v = need_value("--checkpoint-every");
-      if (!v) return false;
-      args->checkpoint_every = std::stoull(v);
+      if (!v || !ParseUint("--checkpoint-every", v, &args->checkpoint_every)) {
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--k") == 0) {
       const char* v = need_value("--k");
-      if (!v) return false;
-      args->k = static_cast<uint32_t>(std::stoul(v));
+      if (!v || !ParseUint("--k", v, &args->k)) return false;
+      if (args->k == 0) {
+        std::cerr << "--k must be at least 1\n";
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--window") == 0) {
       const char* v = need_value("--window");
-      if (!v) return false;
-      args->window = std::stoul(v);
+      if (!v || !ParseUint("--window", v, &args->window)) return false;
     } else if (std::strcmp(argv[i], "--threshold") == 0) {
       const char* v = need_value("--threshold");
       if (!v) return false;
@@ -140,10 +153,6 @@ bool Parse(int argc, char** argv, Args* args) {
         std::cerr << "--threshold needs a finite number, got '" << v << "'\n";
         return false;
       }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = need_value("--shards");
-      if (!v) return false;
-      args->shards = static_cast<uint32_t>(std::stoul(v));
     } else if (std::strcmp(argv[i], "--help") == 0) {
       Usage();
       std::exit(0);
@@ -172,13 +181,7 @@ bool Parse(int argc, char** argv, Args* args) {
 int main(int argc, char** argv) {
   using namespace loom;
   Args args;
-  try {
-    if (!Parse(argc, argv, &args)) {
-      Usage();
-      return 2;
-    }
-  } catch (const std::exception&) {
-    std::cerr << "malformed numeric flag value\n";
+  if (!Parse(argc, argv, &args)) {
     Usage();
     return 2;
   }
@@ -220,7 +223,6 @@ int main(int argc, char** argv) {
     options.expected_edges = expected_edges;
     options.window_size = args.window;
     options.support_threshold = args.threshold;
-    if (args.shards > 0) options.shards = args.shards;
     std::string error;
     if (!options.ApplyOverrides(args.opts, &error)) {
       std::cerr << "error: " << error << "\n";
