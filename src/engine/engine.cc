@@ -116,19 +116,16 @@ std::unique_ptr<partition::Partitioner> PartitionerRegistry::Create(
     const BuildContext& context, std::string* error) const {
   for (const auto& [n, factory] : factories_) {
     if (n != name) continue;
+    // Options built field by field in code skip EngineOptions::Set's range
+    // checks; a backend handed k = 0 or T = 2 would crash or misbehave, so
+    // refuse them here with the error Set would give. That includes the
+    // simd spelling: a harness that believes it pinned a level must hear
+    // about a typo, not silently run at the previous level.
+    if (!options.Validate(error)) return nullptr;
     // Install the requested kernel dispatch level ("auto" = leave it
-    // alone). The option parser validates the spelling, but options built
-    // programmatically can hold anything — a harness that believes it
-    // pinned a level must hear about a typo, not silently run at the
-    // previous level. Process-wide; harmless either way, since every
-    // level is bit-identical.
-    if (!util::simd::Configure(options.simd)) {
-      if (error != nullptr) {
-        *error = "invalid EngineOptions::simd value '" + options.simd +
-                 "' (expected auto|scalar|sse2|avx2)";
-      }
-      return nullptr;
-    }
+    // alone). Process-wide; harmless either way, since every level is
+    // bit-identical.
+    util::simd::Configure(options.simd);
     return factory(options, context, error);
   }
   if (error != nullptr) {

@@ -300,6 +300,14 @@ std::string EngineOptions::Get(std::string_view key, bool* found) const {
   return "";
 }
 
+bool EngineOptions::Validate(std::string* error) const {
+  EngineOptions probe = *this;
+  for (const KeyDesc& d : kKeys) {
+    if (!probe.Set(d.name, d.get(*this), error)) return false;
+  }
+  return true;
+}
+
 bool EngineOptions::ApplyOverrides(const std::vector<std::string>& overrides,
                                    std::string* error) {
   for (const std::string& kv : overrides) {

@@ -106,6 +106,12 @@ struct EngineOptions {
   /// unknown keys.
   std::string Get(std::string_view key, bool* found = nullptr) const;
 
+  /// Checks every field against the same type and range rules Set applies
+  /// (each field's canonical string form must parse back through Set).
+  /// Options built field by field in code skip Set; returns false with
+  /// Set's error, naming the first offending key, if one is out of range.
+  bool Validate(std::string* error) const;
+
   /// Applies a list of "key=value" overrides in order (CLI / bench-config
   /// form). Stops at the first error.
   bool ApplyOverrides(const std::vector<std::string>& overrides,

@@ -165,6 +165,8 @@ void MotifMatcher::OnEdgeAdded(const stream::StreamEdge& e,
 
   // Step 0 — the single-edge match (Sec. 3: "we treat e as a sub-graph of a
   // single edge, then add it to the matchList entries for both v1 and v2").
+  // Steps 0 and 1 record the handles they commit in own_: e's own matches.
+  own_.clear();
   {
     const MatchHandle h = ml->Acquire();
     Match& m0 = ml->match(h);
@@ -172,7 +174,10 @@ void MotifMatcher::OnEdgeAdded(const stream::StreamEdge& e,
     m0.BumpDegree(e.u);
     m0.BumpDegree(e.v);
     m0.node_id = single->id;
-    if (ml->Commit(h)) ++stats_.single_edge_matches;
+    if (ml->Commit(h)) {
+      ++stats_.single_edge_matches;
+      own_.push_back(h);
+    }
   }
 
   // Step 1 — extend existing matches connected to e (Alg. 2 lines 4-8):
@@ -198,31 +203,59 @@ void MotifMatcher::OnEdgeAdded(const stream::StreamEdge& e,
         }
       }
     }
-    for (MatchHandle h : snap_u_) TryExtend(h, e, ml);
+    for (MatchHandle h : snap_u_) {
+      const MatchHandle gh = TryExtend(h, e, ml);
+      if (gh != kNullMatch) own_.push_back(gh);
+    }
   }
 
-  // Step 2 — pairwise joins across the two endpoints (Alg. 2 lines 9-18),
-  // over the first cap live matches at each endpoint of the refreshed lists
-  // (they now include e's own new matches).
+  // Step 2 — joins across the two endpoints (Alg. 2 lines 9-18). Alg. 2
+  // joins only to form new matches that contain e.
+  //
+  // Static gate: with no motif above 2 edges the step is exact to skip.
+  // The size prune below admits a pair only when both sides are smaller
+  // than the largest motif, so every pair is two single-edge matches.
+  //  - If one of them is {e}, their union is the other extended by e, which
+  //    Step 1 already tried. {e} is in a first-cap snapshot only if fewer
+  //    than cap older matches precede it at that endpoint; Step 1's 2 x cap
+  //    snapshot then took all of those and the first cap at the other one.
+  //  - If neither is {e}, their union does not contain e, and Alg. 2 never
+  //    builds it.
+  // max_motif_edges_ is refreshed by InvalidateMotifCache, so the gate
+  // follows the motif set.
+  if (max_motif_edges_ <= 2) return;
+  // Otherwise pair the first cap live matches at each endpoint of the
+  // refreshed lists, in (u, v) posting order, but only pairs with at least
+  // one side among e's own matches (own_; a join of two older matches
+  // would not contain e).
   {
-    snap_u_.clear();
-    ml->CollectLiveAt(e.u, &snap_u_, config_.max_matches_per_vertex);
-    snap_v_.clear();
-    ml->CollectLiveAt(e.v, &snap_v_, config_.max_matches_per_vertex);
-    // Sizes are loop-invariant (registered matches are immutable and the
-    // snapshots are fixed): resolve each handle once, not once per pair.
-    snap_u_sizes_.resize(snap_u_.size());
-    for (size_t i = 0; i < snap_u_.size(); ++i) {
-      snap_u_sizes_[i] = ml->match(snap_u_[i]).edges.size();
-    }
-    snap_v_sizes_.resize(snap_v_.size());
-    for (size_t i = 0; i < snap_v_.size(); ++i) {
-      snap_v_sizes_[i] = ml->match(snap_v_[i]).edges.size();
-    }
+    std::sort(own_.begin(), own_.end());
+    auto snapshot = [&](graph::VertexId x, std::vector<MatchHandle>* snap,
+                        std::vector<size_t>* sizes,
+                        std::vector<uint8_t>* owned) {
+      snap->clear();
+      ml->CollectLiveAt(x, snap, config_.max_matches_per_vertex);
+      // Sizes are loop-invariant (registered matches are immutable and the
+      // snapshots are fixed): resolve each handle once, not once per pair.
+      sizes->resize(snap->size());
+      owned->resize(snap->size());
+      bool any = false;
+      for (size_t i = 0; i < snap->size(); ++i) {
+        (*sizes)[i] = ml->match((*snap)[i]).edges.size();
+        (*owned)[i] =
+            std::binary_search(own_.begin(), own_.end(), (*snap)[i]) ? 1 : 0;
+        any = any || (*owned)[i];
+      }
+      return any;
+    };
+    const bool own_at_u = snapshot(e.u, &snap_u_, &snap_u_sizes_, &own_u_);
+    const bool own_at_v = snapshot(e.v, &snap_v_, &snap_v_sizes_, &own_v_);
+    if (!own_at_u && !own_at_v) return;
     for (size_t i1 = 0; i1 < snap_u_.size(); ++i1) {
       const MatchHandle h1 = snap_u_[i1];
       const size_t n1 = snap_u_sizes_[i1];
       for (size_t i2 = 0; i2 < snap_v_.size(); ++i2) {
+        if (!own_u_[i1] && !own_v_[i2]) continue;  // union would miss e
         const MatchHandle h2 = snap_v_[i2];
         if (h1 == h2) continue;
         const size_t n2 = snap_v_sizes_[i2];

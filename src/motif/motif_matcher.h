@@ -6,9 +6,11 @@
 //   2. extensions: existing matches at either endpoint grown by the new edge
 //      (accepted when the factor-delta corresponds to a motif child in the
 //      TPSTry++), and
-//   3. joins: pairs of existing matches at the two endpoints merged by
-//      recursively absorbing the smaller match's edges into the larger
-//      (Alg. 2 lines 11-18).
+//   3. joins: pairs of live matches at the two endpoints, at least one of
+//      them containing the new edge, merged by recursively absorbing the
+//      smaller match's edges into the larger (Alg. 2 lines 11-18). Skipped
+//      outright while no motif has more than 2 edges: every join is then
+//      a duplicate of an extension or a match without the new edge.
 // Matching is purely signature-based: isomorphic sub-graphs always match
 // (no false negatives); rare non-isomorphic collisions are tolerated, as the
 // paper argues, because a false positive merely co-locates a sub-graph that
@@ -42,7 +44,8 @@ namespace motif {
 struct MatcherConfig {
   /// Cap on live matches considered per endpoint: extension tries the
   /// first 2 x cap distinct live matches (u's posting order first, then
-  /// v's), joins pair the first cap live matches at each endpoint.
+  /// v's), joins pair the first cap live matches at each endpoint (only
+  /// pairs where one side contains the new edge).
   /// Collection stops at the cap, so per-edge work at a hub is O(cap).
   /// Generous by default; prevents pathological quadratic blowups on hub
   /// vertices in adversarial streams.
@@ -134,6 +137,7 @@ class MotifMatcher {
   /// Cached trie.MaxMotifEdges() (refreshed with the motif caches): any
   /// extension or join whose result would exceed it can never be a motif
   /// child chain, so those attempts are pruned before touching signatures.
+  /// At 2 or less it also gates the join step off (see OnEdgeAdded).
   uint32_t max_motif_edges_ = 0;
 
   /// Per-trie-node flag: does the node have ANY motif child? Most live
@@ -147,6 +151,9 @@ class MotifMatcher {
   std::vector<MatchHandle> snap_sorted_;
   std::vector<size_t> snap_u_sizes_;  // edge counts, resolved once per snap
   std::vector<size_t> snap_v_sizes_;
+  std::vector<MatchHandle> own_;  // matches of the new edge (Steps 0-1)
+  std::vector<uint8_t> own_u_;    // snap_u_[i] is one of own_
+  std::vector<uint8_t> own_v_;
   signature::FactorDelta delta_;
   Match cand_;  // join candidate accumulator
   std::vector<graph::EdgeId> remaining_;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/loom_partitioner.h"
 #include "datasets/dataset_registry.h"
 #include "eval/experiment.h"
@@ -153,6 +155,46 @@ TEST(PartitionerRegistryTest, ProgrammaticBadSimdValueFailsWithActionableError) 
   EXPECT_EQ(p, nullptr);
   EXPECT_NE(error.find("avx512"), std::string::npos) << error;
   EXPECT_NE(error.find("simd"), std::string::npos) << error;
+}
+
+TEST(PartitionerRegistryTest, ProgrammaticOutOfRangeValuesFailNamingTheKey) {
+  // Fields set directly on the struct skip Set; Create applies Set's range
+  // checks itself (k = 0 used to segfault while the backend was built).
+  struct Case {
+    const char* key;
+    void (*poke)(EngineOptions&);
+  };
+  const Case cases[] = {
+      {"k", [](EngineOptions& o) { o.k = 0; }},
+      {"window_size", [](EngineOptions& o) { o.window_size = 0; }},
+      {"support_threshold", [](EngineOptions& o) { o.support_threshold = 1.5; }},
+      {"max_imbalance", [](EngineOptions& o) { o.max_imbalance = 0.5; }},
+      {"alpha",
+       [](EngineOptions& o) { o.alpha = std::numeric_limits<double>::quiet_NaN(); }},
+      {"max_matches_per_vertex",
+       [](EngineOptions& o) { o.max_matches_per_vertex = uint64_t{1} << 40; }},
+      {"adj_page", [](EngineOptions& o) { o.adj_page = 65537; }},
+  };
+  for (const Case& c : cases) {
+    for (const char* backend : {"hash", "loom"}) {
+      EngineOptions options;
+      c.poke(options);
+      std::string error;
+      EXPECT_FALSE(options.Validate(&error)) << c.key;
+      error.clear();
+      auto p = PartitionerRegistry::Global().Create(backend, options, {},
+                                                    &error);
+      EXPECT_EQ(p, nullptr) << backend << " " << c.key;
+      EXPECT_NE(error.find(std::string("'") + c.key + "'"), std::string::npos)
+          << error;
+    }
+  }
+  std::string error;
+  EXPECT_TRUE(EngineOptions().Validate(&error)) << error;
+  EXPECT_NE(PartitionerRegistry::Global().Create("hash", EngineOptions(), {},
+                                                 &error),
+            nullptr)
+      << error;
 }
 
 TEST(PartitionerRegistryTest, LoomWithoutWorkloadFailsWithActionableError) {

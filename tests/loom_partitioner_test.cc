@@ -161,11 +161,13 @@ TEST(LoomPartitionerTest, MotifClustersColocated) {
 // secondary b vertices or, again, to the hub (a parallel edge, so both
 // endpoints share live matches). With a 256-edge window the hub holds far
 // more than 2 x 64 live matches, so the matcher's per-endpoint cap
-// truncates both the extension candidates (sometimes with the hub as u,
-// sometimes as v) and the join lists. The expected values were recorded
-// with the earlier collect-everything-then-truncate matcher; they pin that
-// stopping collection at the cap changed the work done, not the matches
-// found or the placements made.
+// truncates the extension candidates (sometimes with the hub as u,
+// sometimes as v). The assignment hashes were recorded with the earlier
+// collect-everything-then-truncate matcher, which also paired the first
+// cap matches at each endpoint in a join step; they pin that stopping
+// collection at the cap, and then gating the joins off (no motif here has
+// more than 2 edges), changed the work done and the pool traffic, not the
+// matches found or the placements made.
 struct HubRun {
   uint64_t assignment_hash = 0;
   engine::StatCounters counters;
@@ -238,30 +240,64 @@ HubRun RunHubStream(size_t max_matches_per_vertex) {
 TEST(LoomPartitionerTest, MatcherCapTruncationAtHubIsPinned) {
   const engine::StatCounters tight = {
       {"match_allocs_fresh", 512},
-      {"match_allocs_reused", 1750},
+      {"match_allocs_reused", 1300},
       {"matcher_edges_admitted", 900},
       {"matcher_single_edge_matches", 900},
       {"matcher_extension_matches", 912},
       {"matcher_join_matches", 0},
-      {"matcher_join_attempts", 2111},
+      {"matcher_join_attempts", 0},
   };
   const HubRun at_two = RunHubStream(2);
   EXPECT_EQ(at_two.assignment_hash, 0xb442474eac6d527dull);
   EXPECT_EQ(at_two.counters, tight);
 
   const engine::StatCounters standard = {
-      {"match_allocs_fresh", 2671},
-      {"match_allocs_reused", 32410},
+      {"match_allocs_fresh", 2668},
+      {"match_allocs_reused", 20619},
       {"matcher_edges_admitted", 900},
       {"matcher_single_edge_matches", 900},
       {"matcher_extension_matches", 22387},
       {"matcher_join_matches", 0},
-      {"matcher_join_attempts", 46010},
+      {"matcher_join_attempts", 0},
   };
   const HubRun at_default =
       RunHubStream(motif::MatcherConfig{}.max_matches_per_vertex);
   EXPECT_EQ(at_default.assignment_hash, 0xdf80f76ee4dbd67dull);
   EXPECT_EQ(at_default.counters, standard);
+}
+
+// At T=0.1 the trie holds motifs of more than two edges, so Step 2 (the
+// joins) runs and finds new matches. Quality oracle for that path: the
+// assignment of a small DBLP and ProvGen stream is pinned (recorded with
+// the matcher that paired every match at u with every match at v).
+struct LowThresholdRun {
+  uint64_t assignment_hash = 0;
+  uint64_t join_matches = 0;
+};
+
+LowThresholdRun RunAtLowThreshold(datasets::DatasetId id, double scale) {
+  auto ds = datasets::MakeDataset(id, scale);
+  LoomOptions opts = OptionsFor(ds, 8, 2000);
+  opts.support_threshold = 0.1;
+  LoomPartitioner loom(opts, ds.workload, ds.registry.size());
+  for (const auto& e :
+       stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst)) {
+    loom.Ingest(e);
+  }
+  loom.Finalize();
+  return {partition::AssignmentHash(loom.partitioning(), ds.NumVertices()),
+          loom.matcher_stats().join_matches};
+}
+
+TEST(LoomPartitionerTest, LowThresholdJoinPathIsPinned) {
+  const LowThresholdRun dblp =
+      RunAtLowThreshold(datasets::DatasetId::kDblp, 0.1);
+  EXPECT_GT(dblp.join_matches, 0u);
+  EXPECT_EQ(dblp.assignment_hash, 0xe4280f2cee73e74eull);
+  const LowThresholdRun provgen =
+      RunAtLowThreshold(datasets::DatasetId::kProvGen, 0.1);
+  EXPECT_GT(provgen.join_matches, 0u);
+  EXPECT_EQ(provgen.assignment_hash, 0x3c40fde66a705adeull);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "datasets/workloads.h"
 #include "graph/label_registry.h"
 
@@ -196,6 +200,68 @@ TEST_F(JoinMatcherTest, MatchesNeverExceedLargestMotif) {
         EXPECT_EQ(m.vertices.size(), 4u);
       }
     }
+  }
+}
+
+TEST_F(MatcherTest, JoinStepFollowsTheMotifSet) {
+  // T=40%: the largest motif (a-b-c) has 2 edges, so joins are gated off.
+  ASSERT_EQ(trie_.MaxMotifEdges(), 2u);
+  Feed(E(0, 1, a_, 2, b_));
+  Feed(E(1, 2, b_, 3, c_));
+  Feed(E(2, 4, a_, 2, b_));  // {e2} beside {e0}: a-b-a is no motif
+  EXPECT_EQ(matcher_->stats().extension_matches, 2u);  // {e0,e1}, {e1,e2}
+  EXPECT_EQ(matcher_->stats().join_attempts, 0u);
+  EXPECT_EQ(ml_.NumLive(), 5u);
+
+  // T=5%: motifs up to the 4-edge square; the refreshed cache re-opens the
+  // join step, which finds the 3-edge path across a bridging edge.
+  trie_.set_support_threshold(0.05);
+  matcher_->InvalidateMotifCache();
+  Feed(E(3, 10, a_, 11, b_));
+  Feed(E(4, 12, a_, 13, b_));
+  Feed(E(5, 11, b_, 12, a_));
+  EXPECT_GT(matcher_->stats().join_attempts, 0u);
+  EXPECT_GE(matcher_->stats().join_matches, 1u);
+  bool found_three = false;
+  for (MatchHandle h : ml_.LiveAt(11)) {
+    if (ml_.match(h).edges == std::vector<graph::EdgeId>{3, 4, 5}) {
+      found_three = true;
+    }
+  }
+  EXPECT_TRUE(found_three);
+}
+
+// Alg. 2 forms only matches that contain the arriving edge. With a tight
+// cap, extensions at busy vertices are cut off, and pairing two older
+// matches could produce a match without e; the join step must not.
+TEST_F(JoinMatcherTest, EveryNewMatchContainsTheNewEdge) {
+  for (size_t cap : {1, 2, 3, 64}) {
+    MotifMatcher matcher(&trie_, &calc_, MatcherConfig{cap});
+    SlidingWindow window(100);
+    MatchList ml;
+    std::set<std::vector<graph::EdgeId>> seen;
+    // Vertices 0..7, even ones a, odd ones b; a deterministic walk over
+    // the a-b pairs, so matches pile up at a few busy vertices.
+    uint32_t x = 1;
+    for (graph::EdgeId id = 0; id < 60; ++id) {
+      x = x * 1103515245u + 12345u;
+      const graph::VertexId u = 2 * ((x >> 8) % 4);
+      const graph::VertexId v = 2 * ((x >> 16) % 4) + 1;
+      const StreamEdge e = E(id, u, a_, v, b_);
+      window.Push(e);
+      matcher.OnEdgeAdded(e, window, &ml);
+      for (graph::VertexId w = 0; w < 8; ++w) {
+        for (MatchHandle h : ml.LiveAt(w)) {
+          const std::vector<graph::EdgeId>& edges = ml.match(h).edges;
+          if (seen.insert(edges).second) {
+            EXPECT_TRUE(std::binary_search(edges.begin(), edges.end(), id))
+                << "cap " << cap << ": a match without edge " << id;
+          }
+        }
+      }
+    }
+    EXPECT_GT(matcher.stats().join_attempts, 0u) << "cap " << cap;
+    if (cap == 64) EXPECT_GT(matcher.stats().join_matches, 0u);
   }
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Integer CLI flags of loom_partition, loom_serve and loom_ctl: a value
-# with trailing characters, a sign, or a magnitude past the flag's type
-# must exit 2 with an error naming the flag (never run with a truncated or
-# wrapped value), and a valid run must exit 0.
+# Numeric CLI flags of loom_generate, loom_partition, loom_serve and
+# loom_ctl: an integer with trailing characters, a sign, or a magnitude
+# past the flag's type, or a non-finite float, must exit 2 with an error
+# naming the flag (never run with a truncated or wrapped value), and a
+# valid run must exit 0.
 #
 # Usage: tools/cli_flags_check.sh [BUILD_DIR]   (default: ./build)
 set -euo pipefail
@@ -42,6 +43,13 @@ expect_rejected() {
     echo "ok:   $flag rejected in: ${*#"$BIN_DIR"/}"
   fi
 }
+
+GEN_RUN=("$GEN" --dataset provgen --scale 0.05 --graph-out "$WORKDIR/g2.lg")
+expect_rejected --seed "${GEN_RUN[@]}" --seed -1
+expect_rejected --seed "${GEN_RUN[@]}" --seed 18446744073709551616
+expect_rejected --seed "${GEN_RUN[@]}" --seed 7x
+expect_rejected --seed "${GEN_RUN[@]}" --seed ""
+expect_rejected --scale "${GEN_RUN[@]}" --scale nan
 
 RUN=("$PART" --graph "$WORKDIR/g.lg" --workload "$WORKDIR/q.lw"
      --out "$WORKDIR/a.tsv")

@@ -18,9 +18,11 @@
 // order and seed.
 
 #include <cstring>
+#include <limits>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "datasets/dataset_registry.h"
 #include "engine/generator_source.h"
@@ -48,14 +50,12 @@ int main(int argc, char** argv) {
     }
   };
   auto parse_u64 = [&](const char* flag, const char* v, uint64_t* out) {
-    size_t end = 0;
-    try {
-      *out = std::stoull(v, &end, 0);
-    } catch (const std::exception&) {
-      end = 0;
-    }
-    if (end != std::strlen(v)) {
-      std::cerr << flag << ": not an integer: '" << v << "'\n";
+    // Decimal digits only: no sign (std::stoull wraps "-1" to 2^64-1),
+    // no trailing characters, nothing past 2^64-1.
+    if (!util::ParseDecimal(std::string_view(v), out)) {
+      std::cerr << flag << " needs an integer in [0, "
+                << std::numeric_limits<uint64_t>::max() << "], got '" << v
+                << "'\n";
       parse_ok = false;
     }
   };
